@@ -96,13 +96,11 @@ static void BM_FullTrack(benchmark::State& state) {
 }
 BENCHMARK(BM_FullTrack);
 
-static void BM_ExpandKernelDecode(benchmark::State& state,
-                                  core::DecodeKernel kernel) {
-  // The two beam-expansion kernels (core/expand_kernel.h) head to head on
-  // the seeded decode testbed -- the isolated cost of the Eq. 8/11
-  // candidate-scoring loop that dominates BM_HmmDecode.
-  core::PolarDrawConfig cfg;
-  cfg.decode_kernel = kernel;
+static void BM_ExpandKernelDecode(benchmark::State& state) {
+  // The beam-expansion kernel (core/expand_kernel.h) on the seeded decode
+  // testbed over the default board -- the Eq. 8/11 candidate-scoring loop
+  // that dominates BM_HmmDecode, plus its prune.
+  const core::PolarDrawConfig cfg;
   const auto tb = core::make_decode_testbed(cfg, 100, 42);
   const core::HmmTracker hmm(cfg, tb.a1, tb.a2, tb.antenna_z);
   for (auto _ : state) {
@@ -110,12 +108,7 @@ static void BM_ExpandKernelDecode(benchmark::State& state,
   }
   state.SetItemsProcessed(state.iterations() * 100);
 }
-BENCHMARK_CAPTURE(BM_ExpandKernelDecode, scalar,
-                  core::DecodeKernel::kScalar)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_ExpandKernelDecode, vector,
-                  core::DecodeKernel::kVector)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ExpandKernelDecode)->Unit(benchmark::kMillisecond);
 
 static void BM_ViterbiBeamWidth(benchmark::State& state) {
   const auto& fx = Fixture::get();

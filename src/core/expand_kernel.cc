@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/angles.h"
 
@@ -14,18 +13,11 @@ namespace {
 constexpr double kWeightFloor = 1e-6;  // keeps log-probabilities finite
 const double kLogWeightFloor = std::log(kWeightFloor);
 const double kLogQuarter = std::log(0.25);
-constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-constexpr float kNegInfF = -std::numeric_limits<float>::infinity();
+constexpr std::uint32_t kNoParent = 0xFFFFFFFFu;
 }  // namespace
 
 ExpandKernel::ExpandKernel(const PolarDrawConfig& cfg, const PhaseField& field)
-    : cfg_(cfg),
-      field_(field),
-      kind_(cfg.decode_kernel),
-      cols_(field.cols()),
-      rows_(field.rows()),
-      best_slot_(field.cells()),
-      hyper_term_(field.cells()) {}
+    : cfg_(cfg), field_(field), cols_(field.cols()), rows_(field.rows()) {}
 
 ExpandKernel::WindowTerms ExpandKernel::window_terms(
     const TrackObservation& o) const {
@@ -65,7 +57,8 @@ void ExpandKernel::fill_dc_limits(const WindowTerms& w) {
   // Integer annulus bound: a candidate |dc| blocks away horizontally and
   // |dr| vertically is at least ~sqrt(dc^2+dr^2) blocks out, so columns
   // beyond this limit cannot pass the exact outer-radius test (the +1
-  // absorbs block-center rounding). Rows stay within [-reach, reach].
+  // absorbs block-center rounding). Rows stay within [-reach, reach], and
+  // the limit never grows with |dr|.
   const int reach = w.reach_blocks;
   const double r_blocks = w.out_thresh_m / cfg_.block_m;
   dc_lim_.assign(static_cast<std::size_t>(reach) + 1, 0);
@@ -77,184 +70,26 @@ void ExpandKernel::fill_dc_limits(const WindowTerms& w) {
   }
 }
 
-void ExpandKernel::expand(const TrackObservation& o,
-                          const std::vector<std::int32_t>& node_cell,
-                          const std::vector<float>& node_logp,
-                          std::size_t prev_begin, std::size_t prev_end,
-                          std::vector<std::int32_t>& cand_cell,
-                          std::vector<float>& cand_logp,
-                          std::vector<std::int32_t>& cand_parent,
-                          ExpandStats& stats) {
-  const WindowTerms w = window_terms(o);
-  fill_dc_limits(w);
-  best_slot_.clear();
-  cand_cell.clear();
-  cand_logp.clear();
-  cand_parent.clear();
-  if (kind_ == DecodeKernel::kVector) {
-    expand_vector(w, node_cell, node_logp, prev_begin, prev_end, cand_cell,
-                  cand_logp, cand_parent, stats);
-  } else {
-    expand_scalar(w, node_cell, node_logp, prev_begin, prev_end, cand_cell,
-                  cand_logp, cand_parent, stats);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Scalar reference path: a behavior-preserving lift of the historical
-// StreamingDecoder::step loop, pinned bit-identical by the golden tests.
-// ---------------------------------------------------------------------------
-
-void ExpandKernel::expand_scalar(const WindowTerms& w,
-                                 const std::vector<std::int32_t>& node_cell,
-                                 const std::vector<float>& node_logp,
-                                 std::size_t prev_begin, std::size_t prev_end,
-                                 std::vector<std::int32_t>& cand_cell,
-                                 std::vector<float>& cand_logp,
-                                 std::vector<std::int32_t>& cand_parent,
-                                 ExpandStats& stats) {
-  const PhaseField& field = field_;
-  const int reach = w.reach_blocks;
-  hyper_term_.clear();
-
-  for (std::size_t a = prev_begin; a < prev_end; ++a) {
-    const std::int32_t pcell = node_cell[a];
-    const int pr = pcell / cols_;
-    const int pc = pcell % cols_;
-    const float plp = node_logp[a];
-    const double fx = field.center_x(pc);
-    const double fy = field.center_y(pr);
-    const int dr_lo = std::max(-reach, -pr);
-    const int dr_hi = std::min(reach, rows_ - 1 - pr);
-    for (int dr = dr_lo; dr <= dr_hi; ++dr) {
-      const int nr = pr + dr;
-      const double ty = field.center_y(nr);
-      const double ddy = fy - ty;
-      const int lim = dc_lim_[static_cast<std::size_t>(dr < 0 ? -dr : dr)];
-      const int dc_lo = std::max(-lim, -pc);
-      const int dc_hi = std::min(lim, cols_ - 1 - pc);
-      const std::int32_t row_base = nr * cols_;
-      for (int dc = dc_lo; dc <= dc_hi; ++dc) {
-        const int nc = pc + dc;
-        const double tx = field.center_x(nc);
-        const double ddx = fx - tx;
-        const double step_m = std::sqrt(ddx * ddx + ddy * ddy);
-        // Annulus membership (Eq. 8); allow a quarter-block tolerance so
-        // the discretization cannot strand the chain, while keeping the
-        // lower bound binding (it is the phase-derived minimum motion).
-        if (step_m > w.out_thresh_m) {
-          ++stats.annulus_rejected;
-          continue;
-        }
-        if (step_m + w.quarter_block_m < w.lower_m) {
-          ++stats.annulus_rejected;
-          continue;
-        }
-        ++stats.expansions;
-
-        const std::size_t ncell = static_cast<std::size_t>(row_base + nc);
-        // Hyperbola term of Eq. 11: 1 - |dtheta_meas - dtheta(x,y)| /
-        // (4*pi), compared circularly against the cached field.
-        double weight;
-        if (w.use_hyper) {
-          if (hyper_term_.contains(ncell)) {
-            ++stats.hyper_hits;
-            weight = hyper_term_.get(ncell);
-          } else {
-            ++stats.hyper_misses;
-            const double mismatch =
-                angle_dist(field.phase_at_cell(ncell), w.meas_rad);
-            const double term =
-                std::max(1.0 - mismatch / (4.0 * kPi), kWeightFloor);
-            weight = cfg_.hyperbola_sharpness == 1.0
-                         ? term
-                         : std::pow(term, cfg_.hyperbola_sharpness);
-            hyper_term_.put(ncell, weight);
-          }
-        } else {
-          weight = 1.0;
-        }
-
-        // Direction-line term of Eq. 11: perpendicular distance from the
-        // candidate to the line through the previous location along the
-        // estimated moving direction, normalized by the max displacement.
-        if (w.use_dir) {
-          const double rx = tx - fx;
-          const double ry = ty - fy;
-          const double perp = std::fabs(rx * w.dir.y - ry * w.dir.x);
-          double term = std::max(1.0 - perp / w.dmax_m, kWeightFloor);
-          // Half-plane preference: candidates behind the motion direction
-          // are inconsistent with the estimated heading.
-          if (rx * w.dir.x + ry * w.dir.y < w.back_thresh_m) term *= 0.25;
-          weight *= term;
-        }
-
-        if (w.idle_step_penalty) {
-          // No direction estimate this window: tie-break toward small
-          // steps (an undetected motion is a small motion), otherwise
-          // the annulus blocks tie -- exactly along the hyperbola when
-          // phase is present, everywhere when it is not -- and the
-          // argmax drifts.
-          const double frac = step_m / w.upper_m;
-          weight *= std::exp(-cfg_.unobserved_step_penalty * frac * frac);
-        }
-
-        const float lp =
-            plp +
-            static_cast<float>(std::log(std::max(weight, kWeightFloor)));
-        if (!best_slot_.contains(ncell)) {
-          best_slot_.put(ncell, static_cast<std::int32_t>(cand_cell.size()));
-          cand_cell.push_back(static_cast<std::int32_t>(ncell));
-          cand_logp.push_back(lp);
-          cand_parent.push_back(static_cast<std::int32_t>(a));
-        } else {
-          const std::int32_t slot = best_slot_.get(ncell);
-          if (lp > cand_logp[static_cast<std::size_t>(slot)]) {
-            cand_logp[static_cast<std::size_t>(slot)] = lp;
-            cand_parent[static_cast<std::size_t>(slot)] =
-                static_cast<std::int32_t>(a);
-          }
-        }
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Vector path: branchless SoA scoring. All transcendental work happens in
-// two per-window precomputations; the per-candidate loop is three adds and
-// a max over contiguous lanes.
-// ---------------------------------------------------------------------------
-
 void ExpandKernel::fill_displacement_table(const WindowTerms& w) {
   const int reach = w.reach_blocks;
-  const int t = 2 * reach + 1;
-  const std::size_t tt =
-      static_cast<std::size_t>(t) * static_cast<std::size_t>(t);
-  // disp_logw_ holds the finite direction/idle log-weight (0 where the
-  // displacement is annulus-rejected); the validity mask is folded into
-  // the same buffer as a second plane [tt, 2*tt): 0 for valid lanes, -inf
-  // for rejected ones, so a rejected candidate's score is -inf *after*
-  // the weight-floor clamp instead of being resurrected by it.
-  //
+  const std::size_t t = 2 * static_cast<std::size_t>(reach) + 1;
   // Knife-edge displacements -- lattice distance within kEdgeEps of either
-  // annulus threshold -- are marked in disp_edge_ and kept valid here; the
-  // merge loop re-tests them with the scalar path's exact center-difference
-  // arithmetic. This matters in practice: upper_m is often an exact block
-  // multiple (vmax * window / block integral), putting out_thresh_m dead on
-  // the lattice, where the scalar path's position-dependent rounding noise
-  // (~1e-16) decides acceptance cell by cell.
+  // annulus threshold -- are re-tested lane by lane with the scalar
+  // reference's exact center-difference arithmetic. This matters in
+  // practice: upper_m is often an exact block multiple (vmax * window /
+  // block integral), putting out_thresh_m dead on the lattice, where the
+  // reference's position-dependent rounding noise (~1e-16) decides
+  // acceptance cell by cell.
   constexpr double kEdgeEps = 1e-12;
-  disp_logw_.assign(2 * tt, 0.0);
-  disp_edge_.assign(tt, 0);
+  disp_logw_.assign(t * t, 0.0);
+  disp_verdict_.assign(t * t, kRejected);
   for (int dr = -reach; dr <= reach; ++dr) {
-    const std::size_t row = static_cast<std::size_t>(dr + reach);
     for (int dc = -reach; dc <= reach; ++dc) {
-      const std::size_t idx = row * static_cast<std::size_t>(t) +
+      const std::size_t idx = static_cast<std::size_t>(dr + reach) * t +
                               static_cast<std::size_t>(dc + reach);
       // Exact block-lattice displacement (the grid is uniform, so the
       // candidate-minus-previous center difference is dc/dr blocks up to
-      // rounding; the vector path snaps to the lattice).
+      // rounding; the table snaps to the lattice).
       const double rx = static_cast<double>(dc) * cfg_.block_m;
       const double ry = static_cast<double>(dr) * cfg_.block_m;
       const double step_m = std::sqrt(rx * rx + ry * ry);
@@ -263,48 +98,102 @@ void ExpandKernel::fill_displacement_table(const WindowTerms& w) {
           std::fabs(step_m + w.quarter_block_m - w.lower_m) < kEdgeEps;
       const bool valid = edge || (!(step_m > w.out_thresh_m) &&
                                   !(step_m + w.quarter_block_m < w.lower_m));
+      if (!valid) continue;
       double logw = 0.0;
-      if (valid) {
-        if (w.use_dir) {
-          const double perp = std::fabs(rx * w.dir.y - ry * w.dir.x);
-          logw += std::log(std::max(1.0 - perp / w.dmax_m, kWeightFloor));
-          if (rx * w.dir.x + ry * w.dir.y < w.back_thresh_m) {
-            logw += kLogQuarter;
-          }
-        }
-        if (w.idle_step_penalty) {
-          const double frac = step_m / w.upper_m;
-          logw += -cfg_.unobserved_step_penalty * frac * frac;
+      if (w.use_dir) {
+        const double perp = std::fabs(rx * w.dir.y - ry * w.dir.x);
+        logw += std::log(std::max(1.0 - perp / w.dmax_m, kWeightFloor));
+        if (rx * w.dir.x + ry * w.dir.y < w.back_thresh_m) {
+          logw += kLogQuarter;
         }
       }
-      disp_logw_[idx] = valid ? logw : 0.0;
-      disp_logw_[tt + idx] = valid ? 0.0 : kNegInf;
-      disp_edge_[idx] = edge ? 1 : 0;
+      if (w.idle_step_penalty) {
+        const double frac = step_m / w.upper_m;
+        logw += -cfg_.unobserved_step_penalty * frac * frac;
+      }
+      disp_logw_[idx] = logw;
+      disp_verdict_[idx] = edge ? kKnifeEdge : kValid;
     }
   }
 }
 
-void ExpandKernel::fill_hyper_rows(const WindowTerms& w, int r_lo, int r_hi,
-                                   int c_lo, int box_w, ExpandStats& stats) {
+bool ExpandKernel::fill_box(const WindowTerms& w,
+                            const std::vector<std::int32_t>& cells,
+                            const std::vector<float>& logp,
+                            std::size_t prev_begin, std::size_t prev_end,
+                            ExpandStats& stats) {
+  const int reach = w.reach_blocks;
+  const int lim0 = dc_lim_[0];  // the widest column reach (|dr| = 0)
+  int pr_lo = rows_, pr_hi = -1, pc_lo = cols_, pc_hi = -1;
+  for (std::size_t a = prev_begin; a < prev_end; ++a) {
+    const int pr = cells[a] / cols_;
+    const int pc = cells[a] % cols_;
+    pr_lo = std::min(pr_lo, pr);
+    pr_hi = std::max(pr_hi, pr);
+    pc_lo = std::min(pc_lo, pc);
+    pc_hi = std::max(pc_hi, pc);
+  }
+  if (pr_hi < 0) return false;  // empty beam: nothing to expand
+
+  box_r0_ = std::max(0, pr_lo - reach);
+  box_c0_ = std::max(0, pc_lo - lim0);
+  box_h_ = std::min(rows_ - 1, pr_hi + reach) - box_r0_ + 1;
+  box_w_ = std::min(cols_ - 1, pc_hi + lim0) - box_c0_ + 1;
+  const std::size_t box =
+      static_cast<std::size_t>(box_h_) * static_cast<std::size_t>(box_w_);
+  box_key_.assign(box, 0);
+  box_first_.assign(box, kNoParent);
+  hyper_logw_.resize(box);
+  span_lo_.assign(static_cast<std::size_t>(box_h_), cols_);
+  span_hi_.assign(static_cast<std::size_t>(box_h_), -1);
+  in_box_.clear();
+  in_logp_.clear();
+  in_parent_.clear();
+  edge_parent_.clear();
+
+  // Per-row column spans touched by the beam (bounding the hyperbola
+  // precompute to a superset of the candidate set), and the interior/edge
+  // split: an interior parent's whole reach lies on the board.
+  for (std::size_t a = prev_begin; a < prev_end; ++a) {
+    const int pr = cells[a] / cols_;
+    const int pc = cells[a] % cols_;
+    const int dr_lo = std::max(-reach, -pr);
+    const int dr_hi = std::min(reach, rows_ - 1 - pr);
+    for (int dr = dr_lo; dr <= dr_hi; ++dr) {
+      const int lim = dc_lim_[static_cast<std::size_t>(dr < 0 ? -dr : dr)];
+      const auto br = static_cast<std::size_t>(pr + dr - box_r0_);
+      span_lo_[br] = std::min(span_lo_[br], std::max(0, pc - lim));
+      span_hi_[br] = std::max(span_hi_[br], std::min(cols_ - 1, pc + lim));
+    }
+    const auto p = static_cast<std::uint32_t>(a - prev_begin);
+    if (pr >= reach && pr + reach < rows_ && pc >= lim0 &&
+        pc + lim0 < cols_) {
+      in_box_.push_back((pr - box_r0_) * box_w_ + (pc - box_c0_));
+      in_logp_.push_back(static_cast<double>(logp[a]));
+      in_parent_.push_back(p);
+    } else {
+      edge_parent_.push_back(p);
+    }
+  }
+
   const double inv_4pi = 1.0 / (4.0 * kPi);
   const double sharp = cfg_.hyperbola_sharpness;
-  for (int nr = r_lo; nr <= r_hi; ++nr) {
-    const int lo = row_span_lo_[static_cast<std::size_t>(nr)];
-    const int hi = row_span_hi_[static_cast<std::size_t>(nr)];
+  for (int br = 0; br < box_h_; ++br) {
+    const int lo = span_lo_[static_cast<std::size_t>(br)];
+    const int hi = span_hi_[static_cast<std::size_t>(br)];
     if (lo > hi) continue;
-    double* out = &hyper_logw_[static_cast<std::size_t>(nr - r_lo) *
-                                   static_cast<std::size_t>(box_w) +
-                               static_cast<std::size_t>(lo - c_lo)];
+    double* out = &hyper_logw_[static_cast<std::size_t>(br * box_w_ + lo -
+                                                        box_c0_)];
     const std::size_t len = static_cast<std::size_t>(hi - lo) + 1;
     if (!w.use_hyper) {
       std::fill(out, out + len, 0.0);
       continue;
     }
-    const double* phase = field_.phase_row(nr) + lo;
-    stats.hyper_misses += len;
+    const double* phase = field_.phase_row(box_r0_ + br) + lo;
+    stats.hyper_cells += len;
     // Branchless circular distance: phase and meas both live in [0, 2*pi),
     // so the circular distance is min(|d|, 2*pi - |d|). log(term^sharp)
-    // = sharp * log(term), so the scalar path's pow disappears.
+    // = sharp * log(term), so the reference's pow disappears.
     for (std::size_t i = 0; i < len; ++i) {
       const double d = std::fabs(phase[i] - w.meas_rad);
       const double mismatch = std::min(d, kTwoPi - d);
@@ -312,143 +201,142 @@ void ExpandKernel::fill_hyper_rows(const WindowTerms& w, int r_lo, int r_hi,
       out[i] = sharp * std::log(term);
     }
   }
+  return true;
 }
 
-void ExpandKernel::expand_vector(const WindowTerms& w,
-                                 const std::vector<std::int32_t>& node_cell,
-                                 const std::vector<float>& node_logp,
-                                 std::size_t prev_begin, std::size_t prev_end,
-                                 std::vector<std::int32_t>& cand_cell,
-                                 std::vector<float>& cand_logp,
-                                 std::vector<std::int32_t>& cand_parent,
-                                 ExpandStats& stats) {
-  const int reach = w.reach_blocks;
-  const int t = 2 * reach + 1;
+bool ExpandKernel::exact_annulus(const WindowTerms& w, int pr, int pc, int nr,
+                                 int nc) const {
+  const double ddx = field_.center_x(pc) - field_.center_x(nc);
+  const double ddy = field_.center_y(pr) - field_.center_y(nr);
+  const double step_m = std::sqrt(ddx * ddx + ddy * ddy);
+  return !(step_m > w.out_thresh_m) &&
+         !(step_m + w.quarter_block_m < w.lower_m);
+}
+
+inline void ExpandKernel::merge(std::size_t box_cell, double plp,
+                                double disp_logw, std::uint32_t parent) {
+  // The weight floor clamps the finite log-weight sum (exactly
+  // log(max(weight, floor)) up to reassociation). The packed key's max is
+  // the reference's "strictly greater wins, ties go to the earliest
+  // parent", independent of visiting order; first-touch is a plain min.
+  const float lp = static_cast<float>(
+      plp + std::max(hyper_logw_[box_cell] + disp_logw, kLogWeightFloor));
+  const std::uint64_t key =
+      (std::uint64_t{ordered_float_bits(lp)} << 32) | (kNoParent - parent);
+  box_key_[box_cell] = std::max(box_key_[box_cell], key);
+  box_first_[box_cell] = std::min(box_first_[box_cell], parent);
+}
+
+void ExpandKernel::expand(const TrackObservation& o,
+                          const std::vector<std::int32_t>& node_cell,
+                          const std::vector<float>& node_logp,
+                          std::size_t prev_begin, std::size_t prev_end,
+                          std::vector<std::int32_t>& cand_cell,
+                          std::vector<float>& cand_logp,
+                          std::vector<std::int32_t>& cand_parent,
+                          ExpandStats& stats) {
+  cand_cell.clear();
+  cand_logp.clear();
+  cand_parent.clear();
+  const WindowTerms w = window_terms(o);
+  fill_dc_limits(w);
+  if (!fill_box(w, node_cell, node_logp, prev_begin, prev_end, stats)) return;
   fill_displacement_table(w);
+  const int reach = w.reach_blocks;
+  const std::size_t t = 2 * static_cast<std::size_t>(reach) + 1;
+  const std::size_t n_in = in_box_.size();
 
-  // Union of per-row column spans touched by this window's beam, bounding
-  // the hyperbola precompute to (a superset of) the candidate set.
-  row_span_lo_.assign(static_cast<std::size_t>(rows_), cols_);
-  row_span_hi_.assign(static_cast<std::size_t>(rows_), -1);
-  int r_lo = rows_, r_hi = -1;
-  for (std::size_t a = prev_begin; a < prev_end; ++a) {
-    const std::int32_t pcell = node_cell[a];
-    const int pr = pcell / cols_;
-    const int pc = pcell % cols_;
-    const int dr_lo = std::max(-reach, -pr);
-    const int dr_hi = std::min(reach, rows_ - 1 - pr);
-    for (int dr = dr_lo; dr <= dr_hi; ++dr) {
-      const int nr = pr + dr;
-      const int lim = dc_lim_[static_cast<std::size_t>(dr < 0 ? -dr : dr)];
-      const std::size_t nrz = static_cast<std::size_t>(nr);
-      row_span_lo_[nrz] = std::min(row_span_lo_[nrz], std::max(0, pc - lim));
-      row_span_hi_[nrz] =
-          std::max(row_span_hi_[nrz], std::min(cols_ - 1, pc + lim));
-      r_lo = std::min(r_lo, nr);
-      r_hi = std::max(r_hi, nr);
+  // Interior parents, displacement-major: one contiguous pass per lattice
+  // displacement, and a rejected displacement costs one add.
+  for (int dr = -reach; dr <= reach; ++dr) {
+    const int lim = dc_lim_[static_cast<std::size_t>(dr < 0 ? -dr : dr)];
+    for (int dc = -lim; dc <= lim; ++dc) {
+      const std::size_t d = static_cast<std::size_t>(dr + reach) * t +
+                            static_cast<std::size_t>(dc + reach);
+      const int off = dr * box_w_ + dc;
+      const double dlogw = disp_logw_[d];
+      if (disp_verdict_[d] == kRejected) {
+        stats.annulus_rejected += n_in;
+      } else if (disp_verdict_[d] == kValid) {
+        stats.expansions += n_in;
+        for (std::size_t i = 0; i < n_in; ++i) {
+          merge(static_cast<std::size_t>(in_box_[i] + off), in_logp_[i],
+                dlogw, in_parent_[i]);
+        }
+      } else {
+        for (std::size_t i = 0; i < n_in; ++i) {
+          const int pr = box_r0_ + in_box_[i] / box_w_;
+          const int pc = box_c0_ + in_box_[i] % box_w_;
+          if (!exact_annulus(w, pr, pc, pr + dr, pc + dc)) {
+            ++stats.annulus_rejected;
+            continue;
+          }
+          ++stats.expansions;
+          merge(static_cast<std::size_t>(in_box_[i] + off), in_logp_[i],
+                dlogw, in_parent_[i]);
+        }
+      }
     }
   }
-  if (r_hi < r_lo) return;  // empty beam: nothing to expand
 
-  int c_lo = cols_, c_hi = -1;
-  for (int nr = r_lo; nr <= r_hi; ++nr) {
-    const std::size_t nrz = static_cast<std::size_t>(nr);
-    if (row_span_lo_[nrz] <= row_span_hi_[nrz]) {
-      c_lo = std::min(c_lo, row_span_lo_[nrz]);
-      c_hi = std::max(c_hi, row_span_hi_[nrz]);
-    }
-  }
-  const int box_w = c_hi - c_lo + 1;
-  hyper_logw_.resize(static_cast<std::size_t>(r_hi - r_lo + 1) *
-                     static_cast<std::size_t>(box_w));
-  fill_hyper_rows(w, r_lo, r_hi, c_lo, box_w, stats);
-
-  const std::size_t tt =
-      static_cast<std::size_t>(t) * static_cast<std::size_t>(t);
-  lane_logp_.resize(static_cast<std::size_t>(t));
-
-  for (std::size_t a = prev_begin; a < prev_end; ++a) {
-    const std::int32_t pcell = node_cell[a];
-    const int pr = pcell / cols_;
-    const int pc = pcell % cols_;
+  // Edge parents: the reference's per-lane walk over the board-clipped
+  // reach.
+  for (const std::uint32_t p : edge_parent_) {
+    const std::size_t a = prev_begin + p;
+    const int pr = node_cell[a] / cols_;
+    const int pc = node_cell[a] % cols_;
     const double plp = static_cast<double>(node_logp[a]);
     const int dr_lo = std::max(-reach, -pr);
     const int dr_hi = std::min(reach, rows_ - 1 - pr);
     for (int dr = dr_lo; dr <= dr_hi; ++dr) {
-      const int nr = pr + dr;
       const int lim = dc_lim_[static_cast<std::size_t>(dr < 0 ? -dr : dr)];
       const int dc_lo = std::max(-lim, -pc);
       const int dc_hi = std::min(lim, cols_ - 1 - pc);
-      const int len = dc_hi - dc_lo + 1;
-      if (len <= 0) continue;
-      const std::size_t lenz = static_cast<std::size_t>(len);
-
-      const std::size_t trow = static_cast<std::size_t>(dr + reach);
-      const std::size_t tcol0 = static_cast<std::size_t>(dc_lo + reach);
-      const double* dtab =
-          &disp_logw_[trow * static_cast<std::size_t>(t) + tcol0];
-      const double* mask =
-          &disp_logw_[tt + trow * static_cast<std::size_t>(t) + tcol0];
-      const unsigned char* edge =
-          &disp_edge_[trow * static_cast<std::size_t>(t) + tcol0];
-      const double* hyp =
-          &hyper_logw_[static_cast<std::size_t>(nr - r_lo) *
-                           static_cast<std::size_t>(box_w) +
-                       static_cast<std::size_t>(pc + dc_lo - c_lo)];
-      float* lanes = lane_logp_.data();
-
-      // Branchless scoring: weight floor clamps the finite log-weight sum
-      // (exactly log(max(w, floor)) up to reassociation); the mask plane
-      // then forces annulus-rejected lanes to -inf.
-      for (std::size_t i = 0; i < lenz; ++i) {
-        lanes[i] = static_cast<float>(
-            plp + std::max(hyp[i] + dtab[i], kLogWeightFloor) + mask[i]);
-      }
-
-      // Merge per-cell bests through the generation scoreboard, in the
-      // same first-touch traversal order as the scalar path. Knife-edge
-      // lanes re-run the scalar path's exact center-difference annulus
-      // test so both kernels accept the same candidate set even when a
-      // threshold sits dead on the lattice.
-      const std::int32_t row_base = nr * cols_;
-      const std::int32_t nc0 = static_cast<std::int32_t>(pc + dc_lo);
-      const double fx = field_.center_x(pc);
-      const double fy = field_.center_y(pr);
-      const double ddy_exact = fy - field_.center_y(nr);
-      for (std::size_t i = 0; i < lenz; ++i) {
-        const float lp = lanes[i];
-        if (lp == kNegInfF) {  // annulus-rejected lane
+      const int row = (pr + dr - box_r0_) * box_w_ + pc - box_c0_;
+      for (int dc = dc_lo; dc <= dc_hi; ++dc) {
+        const std::size_t d = static_cast<std::size_t>(dr + reach) * t +
+                              static_cast<std::size_t>(dc + reach);
+        if (disp_verdict_[d] == kRejected ||
+            (disp_verdict_[d] == kKnifeEdge &&
+             !exact_annulus(w, pr, pc, pr + dr, pc + dc))) {
           ++stats.annulus_rejected;
           continue;
         }
-        if (edge[i] != 0) {
-          const double ddx =
-              fx - field_.center_x(nc0 + static_cast<std::int32_t>(i));
-          const double step_m =
-              std::sqrt(ddx * ddx + ddy_exact * ddy_exact);
-          if (step_m > w.out_thresh_m ||
-              step_m + w.quarter_block_m < w.lower_m) {
-            ++stats.annulus_rejected;
-            continue;
-          }
-        }
         ++stats.expansions;
-        const std::size_t ncell = static_cast<std::size_t>(
-            row_base + nc0 + static_cast<std::int32_t>(i));
-        if (!best_slot_.contains(ncell)) {
-          best_slot_.put(ncell, static_cast<std::int32_t>(cand_cell.size()));
-          cand_cell.push_back(static_cast<std::int32_t>(ncell));
-          cand_logp.push_back(lp);
-          cand_parent.push_back(static_cast<std::int32_t>(a));
-        } else {
-          const std::int32_t slot = best_slot_.get(ncell);
-          if (lp > cand_logp[static_cast<std::size_t>(slot)]) {
-            cand_logp[static_cast<std::size_t>(slot)] = lp;
-            cand_parent[static_cast<std::size_t>(slot)] =
-                static_cast<std::int32_t>(a);
-          }
-        }
+        merge(static_cast<std::size_t>(row + dc), plp, disp_logw_[d], p);
       }
+    }
+  }
+
+  // Emission in first-touch order. The reference appends a cell when its
+  // lowest valid parent first reaches it, and each parent walks its reach
+  // in raster order, so candidates are sorted by (first-touch parent,
+  // raster index): a counting sort on the first-touch parent, filled by a
+  // raster scan of the box.
+  const std::size_t n_par = prev_end - prev_begin;
+  const std::size_t box = box_key_.size();
+  bucket_.assign(n_par + 1, 0);
+  for (std::size_t i = 0; i < box; ++i) {
+    if (box_key_[i] != 0) ++bucket_[box_first_[i] + 1];
+  }
+  for (std::size_t p = 0; p < n_par; ++p) bucket_[p + 1] += bucket_[p];
+  const std::size_t n = bucket_[n_par];
+  cand_cell.resize(n);
+  cand_logp.resize(n);
+  cand_parent.resize(n);
+  for (int br = 0; br < box_h_; ++br) {
+    const std::int32_t row_cell = (box_r0_ + br) * cols_ + box_c0_;
+    const std::size_t row = static_cast<std::size_t>(br * box_w_);
+    for (int bc = 0; bc < box_w_; ++bc) {
+      const std::uint64_t key = box_key_[row + static_cast<std::size_t>(bc)];
+      if (key == 0) continue;
+      const std::size_t pos =
+          bucket_[box_first_[row + static_cast<std::size_t>(bc)]]++;
+      cand_cell[pos] = row_cell + bc;
+      cand_logp[pos] =
+          float_from_ordered_bits(static_cast<std::uint32_t>(key >> 32));
+      cand_parent[pos] = static_cast<std::int32_t>(
+          prev_begin + (kNoParent - static_cast<std::uint32_t>(key)));
     }
   }
 }

@@ -3,38 +3,35 @@
 //
 // Extracted from StreamingDecoder::step so the scoring loop -- the
 // throughput ceiling for batch eval, the session server, and batched
-// multi-pen decode -- can have two runtime-selectable implementations
-// behind one interface (PolarDrawConfig::decode_kernel):
+// multi-pen decode -- has one branch-free SoA implementation (DESIGN.md
+// section 14). Two per-window precomputations make the inner loop
+// transcendental-free: (1) the hyperbola log-weight is evaluated once per
+// touched cell against contiguous PhaseField rows (log of the clamped term,
+// so pow(term, sharpness) becomes sharpness * log(term)); (2) every
+// displacement-dependent factor -- the exact annulus test, the direction
+// line/half-plane terms, and the idle step penalty -- depends only on the
+// integer block displacement (dc, dr), so it collapses into a
+// (2*reach+1)^2 log-weight table with a per-displacement verdict.
 //
-//   * kScalar -- a behavior-preserving lift of the historical loop,
-//     pinned bit-identical to the golden decode tests. This is the
-//     reference semantics: per-candidate annulus test, per-cell
-//     hyperbola-term memo in a generation scoreboard, one log per
-//     accepted candidate.
+// The sweep is displacement-major: for each (dr, dc) it scores every
+// interior beam parent (whose whole reach lies on the board) in one
+// contiguous pass, and skips displacements the table rejects outright.
+// Edge parents and knife-edge displacements (lattice distance on an
+// annulus threshold) take an exact per-lane path. Lanes merge into a dense
+// box of packed uint64 keys, (ordered logp bits << 32) | ~parent, whose
+// max is the best-per-cell rule "strictly greater wins, ties go to the
+// earliest parent" in any visiting order; a counting sort on each cell's
+// first-touch parent then emits candidates in the historical first-touch
+// order (ascending parent, then row, then column).
 //
-//   * kVector -- a branchless SoA path that scores contiguous candidate
-//     rows per iteration. Two per-window precomputations make the inner
-//     loop transcendental-free: (1) the hyperbola log-weight is evaluated
-//     once per touched cell against contiguous PhaseField rows (log of
-//     the clamped term, so pow(term, sharpness) becomes sharpness *
-//     log(term)); (2) every displacement-dependent factor -- the exact
-//     annulus test, the direction line/half-plane terms, and the idle
-//     step penalty -- depends only on the integer block displacement
-//     (dc, dr), so it collapses into a (2*reach+1)^2 log-weight table
-//     with -inf marking annulus rejections. A candidate is then scored
-//     with three adds and a max, and per-cell bests merge through the
-//     same generation scoreboard (outside the arithmetic loop) in the
-//     same first-touch order as the scalar path.
-//
-// Tolerance ladder (enforced by tests/core/test_expand_kernel.cc): the
-// scalar kernel is bit-identical to the goldens; the vector kernel
-// reassociates the log-weight sum (and snaps displacements to the exact
-// block lattice), so it is held to identical committed trajectories on
-// the golden seeds plus a bounded per-window log-prob deviation, not bit
-// identity. Both kernels share the candidate traversal order, so
-// tie-breaks resolve identically whenever the scored values agree.
+// Tolerance (enforced against the scalar reference oracle in
+// tests/core/expand_oracle.h): the candidate cells, parents, order and
+// expansion/rejection counts are identical; log-probs agree up to FP
+// reassociation of the log-weight sum (the oracle multiplies weights and
+// takes one log per candidate).
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -43,20 +40,29 @@
 #include "core/config.h"
 #include "core/hmm_tracker.h"
 #include "core/phase_field.h"
-#include "core/scoreboard.h"
 
 namespace polardraw::core {
 
-/// Hot-loop tallies, accumulated across windows by the caller. The two
-/// kernels count expansions/annulus rejections identically; the hyperbola
-/// cache counters are scalar-path semantics (the vector path has no
-/// per-candidate memo -- it reports each precomputed cell as one miss and
-/// no hits).
+/// Order-preserving uint32 image of a float, with `-0.0f` canonicalized to
+/// `+0.0f`: for non-NaN a, b, a < b <=> ordered_float_bits(a) <
+/// ordered_float_bits(b), and a == b <=> the images are equal. Packed sort
+/// keys (the kernel's per-cell merge, the decoder's prune) are built on it.
+inline std::uint32_t ordered_float_bits(float f) {
+  const auto u = std::bit_cast<std::uint32_t>(f + 0.0f);  // -0 -> +0
+  return u ^ ((0u - (u >> 31)) | 0x80000000u);
+}
+
+/// Inverse of ordered_float_bits.
+inline float float_from_ordered_bits(std::uint32_t o) {
+  return std::bit_cast<float>(o ^ (((o >> 31) - 1u) | 0x80000000u));
+}
+
+/// Hot-loop tallies, accumulated across windows by the caller.
 struct ExpandStats {
   std::uint64_t expansions = 0;
   std::uint64_t annulus_rejected = 0;
-  std::uint64_t hyper_hits = 0;
-  std::uint64_t hyper_misses = 0;
+  /// Cells whose hyperbola log-weight was evaluated.
+  std::uint64_t hyper_cells = 0;
 };
 
 class ExpandKernel {
@@ -69,7 +75,7 @@ class ExpandKernel {
   /// one window and appends the best candidate per cell to the `cand_*`
   /// arrays (cleared first). Parents are absolute arena indices.
   /// Candidates are emitted in first-touch traversal order (ascending
-  /// parent, then row, then column) by both kernels.
+  /// parent, then row, then column).
   void expand(const TrackObservation& o,
               const std::vector<std::int32_t>& node_cell,
               const std::vector<float>& node_logp, std::size_t prev_begin,
@@ -77,11 +83,8 @@ class ExpandKernel {
               std::vector<float>& cand_logp,
               std::vector<std::int32_t>& cand_parent, ExpandStats& stats);
 
-  [[nodiscard]] DecodeKernel kind() const { return kind_; }
-
  private:
-  /// Per-window hoists shared by both paths; computed exactly as the
-  /// historical in-loop hoists so the scalar path stays bit-identical.
+  /// Per-window hoists, computed exactly as the historical in-loop hoists.
   struct WindowTerms {
     double lower_m = 0.0;
     double upper_m = 0.0;
@@ -96,52 +99,47 @@ class ExpandKernel {
     double back_thresh_m = 0.0;
     bool idle_step_penalty = false;
   };
+  /// Annulus verdict of one lattice displacement.
+  enum Verdict : unsigned char { kRejected, kValid, kKnifeEdge };
 
   WindowTerms window_terms(const TrackObservation& o) const;
   void fill_dc_limits(const WindowTerms& w);
-
-  void expand_scalar(const WindowTerms& w,
-                     const std::vector<std::int32_t>& node_cell,
-                     const std::vector<float>& node_logp,
-                     std::size_t prev_begin, std::size_t prev_end,
-                     std::vector<std::int32_t>& cand_cell,
-                     std::vector<float>& cand_logp,
-                     std::vector<std::int32_t>& cand_parent,
-                     ExpandStats& stats);
-  void expand_vector(const WindowTerms& w,
-                     const std::vector<std::int32_t>& node_cell,
-                     const std::vector<float>& node_logp,
-                     std::size_t prev_begin, std::size_t prev_end,
-                     std::vector<std::int32_t>& cand_cell,
-                     std::vector<float>& cand_logp,
-                     std::vector<std::int32_t>& cand_parent,
-                     ExpandStats& stats);
-
   /// Builds the (2*reach+1)^2 displacement log-weight table (direction +
-  /// idle terms, -inf on annulus rejection) plus the knife-edge flags for
-  /// lattice distances that coincide with an annulus threshold.
+  /// idle terms) and its annulus verdicts.
   void fill_displacement_table(const WindowTerms& w);
-  /// Evaluates the per-cell hyperbola log-weight over the union of
-  /// per-row column spans touched by this window's beam.
-  void fill_hyper_rows(const WindowTerms& w, int r_lo, int r_hi, int c_lo,
-                       int box_w, ExpandStats& stats);
+  /// Sizes the reachable box, evaluates the hyperbola log-weight over the
+  /// union of per-row column spans touched by the beam, and splits the
+  /// beam into interior and edge parents. Returns false for an empty beam.
+  bool fill_box(const WindowTerms& w, const std::vector<std::int32_t>& cells,
+                const std::vector<float>& logp, std::size_t prev_begin,
+                std::size_t prev_end, ExpandStats& stats);
+  /// Exact center-difference annulus test of the scalar reference.
+  bool exact_annulus(const WindowTerms& w, int pr, int pc, int nr,
+                     int nc) const;
+  /// Scores one lane and merges it into the box (order-independent).
+  void merge(std::size_t box_cell, double plp, double disp_logw,
+             std::uint32_t parent);
 
   const PolarDrawConfig cfg_;
   const PhaseField& field_;
-  const DecodeKernel kind_;
   const int cols_, rows_;
 
-  // --- Scalar-path scratch -------------------------------------------------
-  GenerationScoreboard<std::int32_t> best_slot_;
-  GenerationScoreboard<double> hyper_term_;
-  std::vector<int> dc_lim_;  // per-|dr| column reach (shared by both paths)
+  std::vector<int> dc_lim_;             // per-|dr| column reach
+  std::vector<double> disp_logw_;       // (2r+1)^2 displacement log-weights
+  std::vector<unsigned char> disp_verdict_;  // Verdict per displacement
 
-  // --- Vector-path scratch -------------------------------------------------
-  std::vector<double> disp_logw_;       // (2r+1)^2 log-weights + -inf mask
-  std::vector<unsigned char> disp_edge_;  // threshold-coincident lattice steps
-  std::vector<double> hyper_logw_;      // per-cell hyperbola log-weight (box)
-  std::vector<int> row_span_lo_, row_span_hi_;   // touched columns per row
-  std::vector<float> lane_logp_;        // per-lane scored log-probs (row seg)
+  // --- Box scratch (the beam's reachable bounding box) --------------------
+  int box_r0_ = 0, box_c0_ = 0, box_w_ = 0, box_h_ = 0;
+  std::vector<int> span_lo_, span_hi_;      // touched columns per box row
+  std::vector<double> hyper_logw_;          // per-cell hyperbola log-weight
+  std::vector<std::uint64_t> box_key_;      // packed best key, 0 = empty
+  std::vector<std::uint32_t> box_first_;    // first-touch parent offset
+  // Interior parents (SoA): box index, log-prob and parent offset.
+  std::vector<std::int32_t> in_box_;
+  std::vector<double> in_logp_;
+  std::vector<std::uint32_t> in_parent_;
+  std::vector<std::uint32_t> edge_parent_;  // parents clipped by the board
+  std::vector<std::uint32_t> bucket_;       // counting-sort offsets
 };
 
 }  // namespace polardraw::core

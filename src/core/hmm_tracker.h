@@ -19,10 +19,10 @@
 //
 // Hot-path layout: the expected phase-difference field is precomputed once
 // per antenna layout (core/phase_field.h) and shared with the Kalman and
-// particle trackers; the forward pass tracks best-per-cell candidates in a
-// dense generation-stamped scoreboard (core/scoreboard.h) and stores beams
-// as flat SoA arrays in a step-indexed arena, so a decode allocates a
-// handful of buffers total instead of per-window node vectors.
+// particle trackers; the forward pass merges best-per-cell candidates in a
+// dense box of packed keys (core/expand_kernel.h) and stores beams as flat
+// SoA arrays in a step-indexed arena, so a decode allocates a handful of
+// buffers total instead of per-window node vectors.
 #pragma once
 
 #include <cstdint>

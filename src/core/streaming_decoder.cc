@@ -4,14 +4,26 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <numeric>
 
 #include "common/angles.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace polardraw::core {
+
+void rank_beam(const std::vector<float>& logp, std::size_t keep,
+               std::vector<std::uint64_t>& keys) {
+  // Ascending key order is (log-prob descending, index ascending), so
+  // selection compares plain integers instead of chasing indices, and the
+  // stdlib's handling of equal keys cannot matter: keys are unique.
+  keys.resize(logp.size());
+  for (std::size_t i = 0; i < logp.size(); ++i) {
+    keys[i] = (std::uint64_t{~ordered_float_bits(logp[i])} << 32) | i;
+  }
+  const auto kept = keys.begin() + static_cast<std::ptrdiff_t>(keep);
+  std::nth_element(keys.begin(), kept, keys.end());
+  std::sort(keys.begin(), kept);
+}
 
 StreamingDecoder::StreamingDecoder(const PolarDrawConfig& cfg, Vec2 a1,
                                    Vec2 a2, double antenna_z,
@@ -191,7 +203,7 @@ void StreamingDecoder::step(const TrackObservation& o,
   static const obs::TraceName arg_occupancy("beam_occupancy");
 
   // Candidate scoring (Eq. 8 annulus + Eq. 11 emission) lives in the
-  // kernel module; which implementation runs is cfg_.decode_kernel.
+  // kernel module.
   kernel_.expand(o, node_cell_, node_logp_, prev_begin_, prev_end_,
                  cand_cell_, cand_logp_, cand_parent_, stats_);
 
@@ -226,31 +238,15 @@ void StreamingDecoder::step(const TrackObservation& o,
   total_logp_offset_ += static_cast<double>(wmax);
   for (float& lp : cand_logp_) lp -= wmax;
 
-  // Beam pruning: keep the most probable states. Selection runs on an
-  // index buffer so the SoA candidate arrays are gathered once. The
-  // comparator tie-breaks equal log-probs on candidate index and the kept
-  // prefix is sorted, so the survivor set *and* its arena order are a pure
-  // function of the scored values -- not of how the standard library's
-  // nth_element partitions ties (the determinism contract in the header).
-  const auto better = [&](std::int32_t x, std::int32_t y) {
-    const float lx = cand_logp_[static_cast<std::size_t>(x)];
-    const float ly = cand_logp_[static_cast<std::size_t>(y)];
-    return lx > ly || (lx == ly && x < y);
-  };
+  // Beam pruning: keep the most probable states (rank_beam's packed keys
+  // make the survivor set and arena order a pure function of the scored
+  // values -- the determinism contract in the header).
   const std::size_t n_cand = cand_cell_.size();
   const std::size_t new_begin = node_cell_.size();
   if (n_cand > cfg_.beam_width) {
-    order_.resize(n_cand);
-    std::iota(order_.begin(), order_.end(), 0);
-    std::nth_element(
-        order_.begin(),
-        order_.begin() + static_cast<std::ptrdiff_t>(cfg_.beam_width),
-        order_.end(), better);
-    std::sort(order_.begin(),
-              order_.begin() + static_cast<std::ptrdiff_t>(cfg_.beam_width),
-              better);
+    rank_beam(cand_logp_, cfg_.beam_width, prune_key_);
     for (std::size_t i = 0; i < cfg_.beam_width; ++i) {
-      const auto s = static_cast<std::size_t>(order_[i]);
+      const auto s = static_cast<std::uint32_t>(prune_key_[i]);
       node_cell_.push_back(cand_cell_[s]);
       node_logp_.push_back(cand_logp_[s]);
       node_parent_.push_back(cand_parent_[s]);
@@ -297,16 +293,14 @@ void StreamingDecoder::flush_metrics() {
   static const obs::Counter expansions_counter("hmm.beam_expansions");
   static const obs::Counter nodes_counter("hmm.beam_nodes");
   static const obs::Counter annulus_counter("hmm.annulus_rejected");
-  static const obs::Counter hyper_hits_counter("hmm.hyper_cache_hits");
-  static const obs::Counter hyper_misses_counter("hmm.hyper_cache_misses");
+  static const obs::Counter hyper_cells_counter("hmm.hyper_cells");
   static const obs::Counter starved_counter("hmm.starved_windows");
   static const obs::Gauge occupancy_gauge("hmm.beam_occupancy_peak");
   windows_counter.add(n_pushed_);
   expansions_counter.add(stats_.expansions);
   nodes_counter.add(n_beam_nodes_);
   annulus_counter.add(stats_.annulus_rejected);
-  hyper_hits_counter.add(stats_.hyper_hits);
-  hyper_misses_counter.add(stats_.hyper_misses);
+  hyper_cells_counter.add(stats_.hyper_cells);
   starved_counter.add(n_starved_);
   occupancy_gauge.set_max(static_cast<double>(beam_peak_));
 }

@@ -3,13 +3,12 @@
 // The batch tracker (core/hmm_tracker.h) sees the whole observation
 // sequence before it decodes; a live whiteboard cannot wait for the pen to
 // stop. This class runs the same forward recursion -- same SoA beam arena,
-// same generation-stamped scoreboards, same annulus/hyperbola/direction
-// emission, same pruning and tie-breaks -- but accepts one TrackObservation
-// at a time via push() and releases pen positions with bounded latency via
-// poll(): a position is committed once the beam front has advanced at
-// least `lag_windows` past it, by backtracing from the current most
-// probable front node. Committed positions are frozen -- they are emitted
-// exactly once and never revised.
+// same annulus/hyperbola/direction emission, same pruning and tie-breaks --
+// but accepts one TrackObservation at a time via push() and releases pen
+// positions with bounded latency via poll(): a position is committed once
+// the beam front has advanced at least `lag_windows` past it, by
+// backtracing from the current most probable front node. Committed
+// positions are frozen -- they are emitted exactly once and never revised.
 //
 // Internal state is retained across pushes, so history is never
 // re-decoded: the arena only grows at the front, and once positions
@@ -29,12 +28,13 @@
 // library. The two ingredients are (1) candidate scoring delegated to
 // core/expand_kernel.h, which emits candidates in a fixed first-touch
 // traversal order, and (2) beam pruning that orders candidates by
-// (log-prob descending, candidate index ascending) and sorts the kept
-// prefix, so neither the survivor set nor the arena order depends on how
-// std::nth_element resolves ties. Log-probs are renormalized every window
-// (the window max is subtracted before candidates enter the arena), so the
-// beam front's best node sits at exactly 0 and a session never loses float
-// resolution no matter how long it runs; argmax decisions are unchanged.
+// (log-prob descending, candidate index ascending) -- one packed integer
+// key per candidate -- and sorts the kept prefix, so neither the survivor
+// set nor the arena order depends on how std::nth_element resolves ties.
+// Log-probs are renormalized every window (the window max is subtracted
+// before candidates enter the arena), so the beam front's best node sits at
+// exactly 0 and a session never loses float resolution no matter how long
+// it runs; argmax decisions are unchanged.
 //
 // Seeding follows the tracker contract: an initial_hint seeds immediately;
 // otherwise the decoder waits for the first has_phase observation, seeds
@@ -71,6 +71,13 @@ struct StreamingConfig {
   /// frequent rebase passes; compaction never changes emitted positions.
   std::size_t compact_node_threshold = 4096;
 };
+
+/// Beam pruning of one window: ranks the candidates by (log-prob
+/// descending, candidate index ascending) and leaves the best `keep`
+/// (< logp.size()) in rank order in keys[0, keep), each packed as
+/// (~ordered_float_bits(logp) << 32) | candidate index. `keys` is scratch.
+void rank_beam(const std::vector<float>& logp, std::size_t keep,
+               std::vector<std::uint64_t>& keys);
 
 class StreamingDecoder {
  public:
@@ -164,7 +171,7 @@ class StreamingDecoder {
   StreamingConfig stream_cfg_;
   std::shared_ptr<const PhaseField> field_;
   int cols_, rows_;
-  ExpandKernel kernel_;  // candidate scoring (scalar or vector path)
+  ExpandKernel kernel_;  // candidate scoring
 
   // --- Seeding ------------------------------------------------------------
   bool seeded_ = false;
@@ -197,7 +204,7 @@ class StreamingDecoder {
   // Scratch reused across steps (see HmmTracker::decode history).
   std::vector<std::int32_t> cand_cell_, cand_parent_;
   std::vector<float> cand_logp_;
-  std::vector<std::int32_t> order_;
+  std::vector<std::uint64_t> prune_key_;
 
   // Per-window renormalization state (see the determinism contract above).
   float last_window_logp_max_ = 0.0f;

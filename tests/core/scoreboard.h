@@ -1,6 +1,10 @@
 // Dense per-cell scoreboard with O(1) bulk reset via generation stamps.
 // polarlint: hot-path -- no node-based hash maps in the decode loop.
 //
+// Test-only: the scalar reference oracle (expand_oracle.h) keeps the
+// historical per-cell memo and best-slot tables in these. The production
+// kernel merges into a box-sized key array instead (core/expand_kernel.h).
+//
 // The Viterbi forward pass needs "best incoming candidate per grid cell"
 // for every window. A hash map pays allocation and hashing on the hot
 // path; a plain dense array pays an O(cells) clear per window. This keeps

@@ -1,5 +1,5 @@
-// Tests for the precomputed phase-difference field and the generation
-// scoreboard backing the Viterbi decode hot path.
+// Tests for the precomputed phase-difference field backing the Viterbi
+// decode hot path.
 #include "core/phase_field.h"
 
 #include <gtest/gtest.h>
@@ -8,7 +8,6 @@
 
 #include "common/angles.h"
 #include "core/distance_estimator.h"
-#include "core/scoreboard.h"
 
 namespace polardraw::core {
 namespace {
@@ -131,55 +130,6 @@ TEST(PhaseFieldDegenerate, SingleCellGrid) {
   EXPECT_EQ(field.cols(), 1);
   EXPECT_EQ(field.rows(), 1);
   EXPECT_EQ(field.phase({0.002, 0.002}), field.phase_at(0, 0));
-}
-
-// ---------------------------------------------------------------------------
-// GenerationScoreboard
-// ---------------------------------------------------------------------------
-TEST(Scoreboard, PutGetContains) {
-  GenerationScoreboard<std::int32_t> board(8);
-  EXPECT_EQ(board.size(), 8u);
-  for (std::size_t i = 0; i < 8; ++i) EXPECT_FALSE(board.contains(i));
-  board.put(3, 42);
-  EXPECT_TRUE(board.contains(3));
-  EXPECT_EQ(board.get(3), 42);
-  EXPECT_FALSE(board.contains(2));
-  board.put(3, 7);
-  EXPECT_EQ(board.get(3), 7);
-}
-
-TEST(Scoreboard, ClearInvalidatesWithoutTouchingStorage) {
-  GenerationScoreboard<std::int32_t> board(64);
-  for (std::size_t i = 0; i < 64; ++i) board.put(i, static_cast<int>(i));
-  board.clear();
-  for (std::size_t i = 0; i < 64; ++i) EXPECT_FALSE(board.contains(i));
-  // Re-population after clear behaves like a fresh board.
-  board.put(10, 5);
-  EXPECT_TRUE(board.contains(10));
-  EXPECT_EQ(board.get(10), 5);
-  EXPECT_FALSE(board.contains(11));
-}
-
-TEST(Scoreboard, ManyGenerationsStayIsolated) {
-  GenerationScoreboard<std::int32_t> board(4);
-  for (int gen = 0; gen < 10000; ++gen) {
-    const std::size_t cell = static_cast<std::size_t>(gen) % 4;
-    board.put(cell, gen);
-    EXPECT_TRUE(board.contains(cell));
-    EXPECT_EQ(board.get(cell), gen);
-    board.clear();
-    EXPECT_FALSE(board.contains(cell));
-  }
-}
-
-TEST(Scoreboard, ResizeResetsEverything) {
-  GenerationScoreboard<double> board(2);
-  board.put(0, 1.5);
-  board.resize(16);
-  EXPECT_EQ(board.size(), 16u);
-  for (std::size_t i = 0; i < 16; ++i) EXPECT_FALSE(board.contains(i));
-  board.put(15, 2.5);
-  EXPECT_DOUBLE_EQ(board.get(15), 2.5);
 }
 
 }  // namespace
