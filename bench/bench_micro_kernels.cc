@@ -1,10 +1,11 @@
 // Micro-benchmarks of the computational kernels (google-benchmark only,
 // no experiment table): channel evaluation, pre-processing, Viterbi
-// decoding, Procrustes/DTW scoring, and the stroke synthesizer. These
-// quantify the real-time claim (Viterbi "can be computed in real-time
-// even with an embedded mini PC", section 3.5).
+// decoding, the baselines' grid decode, Procrustes/DTW scoring, and the
+// stroke synthesizer. These quantify the real-time claim (Viterbi "can be
+// computed in real-time even with an embedded mini PC", section 3.5).
 #include <benchmark/benchmark.h>
 
+#include "baselines/tagoram.h"
 #include "bench_common.h"
 #include "channel/multipath.h"
 #include "common/angles.h"
@@ -109,6 +110,47 @@ static void BM_ExpandKernelDecode(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 100);
 }
 BENCHMARK(BM_ExpandKernelDecode)->Unit(benchmark::kMillisecond);
+
+static void BM_GridBeamDecode(benchmark::State& state) {
+  // The baselines' grid decode (baselines/grid_search.h) at a fixed size:
+  // Tagoram-4 on the default board, beam 600, 200 windows of a tag
+  // circling at about 10 cm/s with every port read twice per window, and
+  // ideal phases so no step is blind.
+  eval::TrialConfig cfg;
+  cfg.system = eval::System::kTagoram4;
+  eval::apply_system_layout(cfg);
+  const sim::Scene scene(cfg.scene);
+  const auto& rig = scene.antennas();
+  baselines::TagoramConfig tcfg;
+  constexpr int kWindows = 201;  // 200 decoded steps
+  rfid::TagReportStream reports;
+  const int reads = 2 * static_cast<int>(rig.size());
+  for (int w = 0; w < kWindows; ++w) {
+    for (int k = 0; k < reads; ++k) {
+      const double t = (w + (k + 0.5) / reads) * tcfg.grid.window_s;
+      const double ang = 2.0 * kPi * t / 3.0;
+      const Vec2 tag{0.5 + 0.05 * std::cos(ang), 0.25 + 0.05 * std::sin(ang)};
+      rfid::TagReport r;
+      r.timestamp_s = t;
+      r.antenna_id = k % static_cast<int>(rig.size());
+      const auto& ant = rig[static_cast<std::size_t>(r.antenna_id)];
+      r.phase_rad = wrap_2pi(4.0 * kPi * baselines::link_len(tag, ant) /
+                             tcfg.wavelength_m);
+      r.rss_dbm = -50.0;
+      reports.push_back(r);
+    }
+  }
+  const baselines::TagoramTracker tracker(tcfg, rig);
+  baselines::GridDecodeStats stats;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tracker.track(reports, &stats).size());
+  }
+  state.counters["windows_per_s"] = benchmark::Counter(
+      static_cast<double>(stats.windows), benchmark::Counter::kIsRate);
+  state.counters["candidates_per_s"] = benchmark::Counter(
+      static_cast<double>(stats.candidates), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_GridBeamDecode)->Unit(benchmark::kMillisecond);
 
 static void BM_ViterbiBeamWidth(benchmark::State& state) {
   const auto& fx = Fixture::get();

@@ -1,101 +1,35 @@
 #include "baselines/grid_search.h"
 
-#include <algorithm>
-#include <cmath>
-#include <cstdint>
-#include <unordered_map>
+namespace polardraw::baselines::detail {
 
-namespace polardraw::baselines {
+GridFrame make_frame(const GridConfig& cfg, const Vec2& start) {
+  GridFrame g;
+  g.cols = std::max(1, static_cast<int>(cfg.board_width_m / cfg.block_m));
+  g.rows = std::max(1, static_cast<int>(cfg.board_height_m / cfg.block_m));
+  g.c0 = std::clamp(static_cast<int>(start.x / cfg.block_m), 0, g.cols - 1);
+  g.r0 = std::clamp(static_cast<int>(start.y / cfg.block_m), 0, g.rows - 1);
+  g.block_m = cfg.block_m;
 
-namespace {
+  // A negative speed limit would put even the stay-put move out of reach.
+  const double upper = std::max(0.0, cfg.vmax_mps * cfg.window_s);
+  g.radius_m = upper + 0.5 * cfg.block_m;
+  const int reach =
+      std::max(1, static_cast<int>(std::ceil(upper / cfg.block_m)));
 
-struct Node {
-  std::int32_t col;
-  std::int32_t row;
-  float log_prob;
-  std::int32_t parent;
-};
-
-}  // namespace
-
-std::vector<Vec2> grid_beam_decode(const GridConfig& cfg, const Vec2& start,
-                                   std::size_t steps, const StepScorer& score) {
-  const int cols = std::max(1, static_cast<int>(cfg.board_width_m / cfg.block_m));
-  const int rows = std::max(1, static_cast<int>(cfg.board_height_m / cfg.block_m));
-  const auto center = [&](int c, int r) {
-    return Vec2{(static_cast<double>(c) + 0.5) * cfg.block_m,
-                (static_cast<double>(r) + 0.5) * cfg.block_m};
-  };
-
-  const int c0 = std::clamp(static_cast<int>(start.x / cfg.block_m), 0, cols - 1);
-  const int r0 = std::clamp(static_cast<int>(start.y / cfg.block_m), 0, rows - 1);
-
-  const double upper = cfg.vmax_mps * cfg.window_s;
-  const int reach = std::max(1, static_cast<int>(std::ceil(upper / cfg.block_m)));
-
-  std::vector<std::vector<Node>> beams;
-  beams.reserve(steps + 1);
-  beams.push_back({Node{c0, r0, 0.0f, -1}});
-
-  std::unordered_map<std::int64_t, std::size_t> best_idx;
-  for (std::size_t t = 0; t < steps; ++t) {
-    const auto& prev = beams.back();
-    std::vector<Node> next;
-    next.reserve(prev.size() * 9);
-    best_idx.clear();
-
-    for (std::int32_t pi = 0; pi < static_cast<std::int32_t>(prev.size()); ++pi) {
-      const Node& p = prev[pi];
-      const Vec2 from = center(p.col, p.row);
-      for (int dr = -reach; dr <= reach; ++dr) {
-        const int nr = p.row + dr;
-        if (nr < 0 || nr >= rows) continue;
-        for (int dc = -reach; dc <= reach; ++dc) {
-          const int nc = p.col + dc;
-          if (nc < 0 || nc >= cols) continue;
-          const Vec2 to = center(nc, nr);
-          if (from.dist(to) > upper + 0.5 * cfg.block_m) continue;
-          const double s = score(t, from, to);
-          const float lp = p.log_prob + static_cast<float>(s);
-          const std::int64_t key = static_cast<std::int64_t>(nr) * cols + nc;
-          const auto it = best_idx.find(key);
-          if (it == best_idx.end()) {
-            best_idx.emplace(key, next.size());
-            next.push_back({nc, nr, lp, pi});
-          } else if (lp > next[it->second].log_prob) {
-            next[it->second] = {nc, nr, lp, pi};
-          }
-        }
-      }
+  // A move's center-to-center distance differs from block_m * |(dr, dc)|
+  // only by the rounding of the block centers, a few ulps of the board
+  // size. Moves farther than `margin` from the radius are decided here;
+  // the rest are knife-edge and keep the exact per-candidate test.
+  const double margin =
+      1e-9 * std::max({g.radius_m, cfg.board_width_m, cfg.board_height_m});
+  for (int dr = -reach; dr <= reach; ++dr) {
+    for (int dc = -reach; dc <= reach; ++dc) {
+      const double len = cfg.block_m * std::hypot(dr, dc);
+      if (len > g.radius_m + margin) continue;
+      g.moves.push_back({dr, dc, len >= g.radius_m - margin});
     }
-    if (next.empty()) {
-      next.push_back({prev.front().col, prev.front().row,
-                      prev.front().log_prob, 0});
-    }
-    if (next.size() > cfg.beam_width) {
-      std::nth_element(next.begin(), next.begin() + cfg.beam_width, next.end(),
-                       [](const Node& a, const Node& b) {
-                         return a.log_prob > b.log_prob;
-                       });
-      next.resize(cfg.beam_width);
-    }
-    beams.push_back(std::move(next));
   }
-
-  // Backtrace.
-  const auto& last = beams.back();
-  std::int32_t idx = 0;
-  for (std::int32_t i = 1; i < static_cast<std::int32_t>(last.size()); ++i) {
-    if (last[i].log_prob > last[idx].log_prob) idx = i;
-  }
-  std::vector<Vec2> reversed;
-  reversed.reserve(beams.size());
-  for (std::size_t step = beams.size(); step-- > 0;) {
-    const Node& n = beams[step][static_cast<std::size_t>(idx)];
-    reversed.push_back(center(n.col, n.row));
-    idx = std::max(n.parent, 0);
-  }
-  return {reversed.rbegin(), reversed.rend()};
+  return g;
 }
 
-}  // namespace polardraw::baselines
+}  // namespace polardraw::baselines::detail

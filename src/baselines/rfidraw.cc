@@ -8,6 +8,84 @@
 
 namespace polardraw::baselines {
 
+namespace {
+
+/// One array's calibrated spatial phase difference in one window.
+struct PairDiff {
+  std::size_t i = 0;
+  std::size_t j = 0;
+  double diff_rad = 0.0;
+};
+
+/// Grid-decode scoring model of AoA intersection plus a temporal
+/// stabilizer. A cell's features are its per-antenna link lengths; the
+/// AoA term depends on the destination only, so it is the cell term, and
+/// a move continues the sum with the per-port differential coherence.
+class RfIdrawModel {
+ public:
+  RfIdrawModel(const RfIdrawConfig& cfg,
+               const std::vector<em::ReaderAntenna>& antennas,
+               std::vector<std::vector<PairDiff>> pairs,
+               std::vector<std::vector<PortDelta>> deltas)
+      : cfg_(cfg),
+        antennas_(antennas),
+        pairs_(std::move(pairs)),
+        deltas_(std::move(deltas)) {}
+
+  std::size_t features() const { return antennas_.size(); }
+
+  void cell_features(const Vec2& center, double* f) const {
+    for (std::size_t a = 0; a < antennas_.size(); ++a) {
+      f[a] = link_len(center, antennas_[a]);
+    }
+  }
+
+  // AoA / hyperbola term: the candidate must lie where each array's
+  // spatial phase difference matches. The cosine handles the 2k*pi
+  // ambiguity exactly the way grating lobes do; the fine/coarse pairing
+  // plus temporal continuity selects among lobes.
+  double cell_term(std::size_t t, const double* to_f) const {
+    double score = 0.0;
+    for (const PairDiff& p : pairs_[t]) {
+      const double expected =
+          4.0 * kPi * (to_f[p.j] - to_f[p.i]) / cfg_.wavelength_m;
+      score += cfg_.coherence_weight * (std::cos(p.diff_rad - expected) - 1.0);
+    }
+    return score;
+  }
+
+  // Every move term is weight * (cos - 1) <= 0 for a non-negative
+  // weight, and the blind-step -0.1 is below the cell term 0.
+  double move_bound(std::size_t, double acc) const {
+    return cfg_.temporal_weight >= 0.0
+               ? acc
+               : std::numeric_limits<double>::infinity();
+  }
+
+  // Temporal stabilizer: per-port differential coherence (as in any phase
+  // tracker; RF-IDraw's virtual-touch-screen demo also tracks continuously
+  // rather than re-localizing from scratch).
+  double move_score(std::size_t t, const double* from_f, const double* to_f,
+                    double acc) const {
+    const std::vector<PortDelta>& deltas = deltas_[t];
+    if (deltas.empty() && pairs_[t].empty()) return -0.1;
+    for (const PortDelta& d : deltas) {
+      const double expected =
+          4.0 * kPi * (to_f[d.port] - from_f[d.port]) / cfg_.wavelength_m;
+      acc += cfg_.temporal_weight * (std::cos(d.delta_rad - expected) - 1.0);
+    }
+    return acc;
+  }
+
+ private:
+  const RfIdrawConfig& cfg_;
+  const std::vector<em::ReaderAntenna>& antennas_;
+  std::vector<std::vector<PairDiff>> pairs_;
+  std::vector<std::vector<PortDelta>> deltas_;
+};
+
+}  // namespace
+
 RfIdrawTracker::RfIdrawTracker(RfIdrawConfig cfg,
                                std::vector<em::ReaderAntenna> antennas,
                                std::vector<std::pair<int, int>> pairs,
@@ -17,67 +95,27 @@ RfIdrawTracker::RfIdrawTracker(RfIdrawConfig cfg,
       pairs_(std::move(pairs)),
       offsets_(std::move(port_phase_offsets)) {}
 
-std::vector<Vec2> RfIdrawTracker::track(
-    const rfid::TagReportStream& reports) const {
+std::vector<Vec2> RfIdrawTracker::track(const rfid::TagReportStream& reports,
+                                        GridDecodeStats* stats) const {
   const int ports = static_cast<int>(antennas_.size());
   const auto windows =
       window_reports(reports, ports, cfg_.grid.window_s, &offsets_);
   if (windows.size() < 2) return {};
 
-  const auto link_len = [this](const Vec2& p, int a) {
-    const auto& ant = antennas_[static_cast<std::size_t>(a)];
-    const double dx = p.x - ant.position.x;
-    const double dy = p.y - ant.position.y;
-    const double dz = ant.position.z;
-    return std::sqrt(dx * dx + dy * dy + dz * dz);
-  };
-
-  // Per-step observations: spatial pair differences (calibrated, wrapped)
-  // and per-port temporal deltas.
-  struct StepObs {
-    std::vector<double> pair_diff;   // per pair; NaN if unavailable
-    std::vector<double> dtheta;      // per port; NaN if unavailable
-  };
-  std::vector<StepObs> steps;
-  steps.reserve(windows.size() - 1);
-  std::vector<double> prev_phase(static_cast<std::size_t>(ports), 0.0);
-  std::vector<int> prev_window(static_cast<std::size_t>(ports), -1000);
-  for (int a = 0; a < ports; ++a) {
-    const auto ai = static_cast<std::size_t>(a);
-    if (windows[0].phase_valid[ai]) {
-      prev_phase[ai] = windows[0].phase_rad[ai];
-      prev_window[ai] = 0;
-    }
-  }
+  // Per-step spatial pair differences (calibrated), for the arrays with
+  // both ports read in the step's destination window.
+  std::vector<std::vector<PairDiff>> pair_steps;
+  pair_steps.reserve(windows.size() - 1);
   for (std::size_t w = 1; w < windows.size(); ++w) {
-    StepObs so;
-    so.pair_diff.assign(pairs_.size(),
-                        std::numeric_limits<double>::quiet_NaN());
-    so.dtheta.assign(static_cast<std::size_t>(ports),
-                     std::numeric_limits<double>::quiet_NaN());
-    for (std::size_t pi = 0; pi < pairs_.size(); ++pi) {
-      const auto [i, j] = pairs_[pi];
+    std::vector<PairDiff>& diffs = pair_steps.emplace_back();
+    for (const auto& [i, j] : pairs_) {
       const auto ii = static_cast<std::size_t>(i);
       const auto jj = static_cast<std::size_t>(j);
       if (windows[w].phase_valid[ii] && windows[w].phase_valid[jj]) {
-        so.pair_diff[pi] =
-            windows[w].phase_rad[jj] - windows[w].phase_rad[ii];
+        diffs.push_back(
+            {ii, jj, windows[w].phase_rad[jj] - windows[w].phase_rad[ii]});
       }
     }
-    for (int a = 0; a < ports; ++a) {
-      const auto ai = static_cast<std::size_t>(a);
-      // Only adjacent-window differentials: a delta spanning a read gap
-      // covers several moves and cannot be scored against one transition.
-      if (windows[w].phase_valid[ai] &&
-          prev_window[ai] == static_cast<int>(w) - 1) {
-        so.dtheta[ai] = windows[w].phase_rad[ai] - prev_phase[ai];
-      }
-      if (windows[w].phase_valid[ai]) {
-        prev_phase[ai] = windows[w].phase_rad[ai];
-        prev_window[ai] = static_cast<int>(w);
-      }
-    }
-    steps.push_back(std::move(so));
   }
 
   // Initial fix: grid argmax of the spatial (AoA) coherence on the first
@@ -100,10 +138,13 @@ std::vector<Vec2> RfIdrawTracker::track(
         const Vec2 p{x, y};
         double s = 0.0;
         for (const auto& [i, j] : pairs_) {
-          const double meas = w.phase_rad[static_cast<std::size_t>(j)] -
-                              w.phase_rad[static_cast<std::size_t>(i)];
-          const double expected =
-              4.0 * kPi * (link_len(p, j) - link_len(p, i)) / cfg_.wavelength_m;
+          const auto ii = static_cast<std::size_t>(i);
+          const auto jj = static_cast<std::size_t>(j);
+          const double meas = w.phase_rad[jj] - w.phase_rad[ii];
+          const double expected = 4.0 * kPi *
+                                  (link_len(p, antennas_[jj]) -
+                                   link_len(p, antennas_[ii])) /
+                                  cfg_.wavelength_m;
           s += std::cos(meas - expected);
         }
         if (s > best) {
@@ -115,43 +156,9 @@ std::vector<Vec2> RfIdrawTracker::track(
     break;
   }
 
-  const auto scorer = [&](std::size_t t, const Vec2& from,
-                          const Vec2& to) -> double {
-    const StepObs& so = steps[t];
-    double score = 0.0;
-    int used = 0;
-    // AoA / hyperbola term: the candidate must lie where each array's
-    // spatial phase difference matches. The cosine handles the 2k*pi
-    // ambiguity exactly the way grating lobes do; the fine/coarse pairing
-    // plus temporal continuity selects among lobes.
-    for (std::size_t pi = 0; pi < so.pair_diff.size(); ++pi) {
-      const double m = so.pair_diff[pi];
-      if (std::isnan(m)) continue;
-      const auto [i, j] = pairs_[pi];
-      const double expected =
-          4.0 * kPi * (link_len(to, j) - link_len(to, i)) / cfg_.wavelength_m;
-      score += cfg_.coherence_weight * (std::cos(m - expected) - 1.0);
-      ++used;
-    }
-    // Temporal stabilizer: per-port differential coherence (as in any
-    // phase tracker; RF-IDraw's virtual-touch-screen demo also tracks
-    // continuously rather than re-localizing from scratch).
-    for (std::size_t a = 0; a < so.dtheta.size(); ++a) {
-      const double m = so.dtheta[a];
-      if (std::isnan(m)) continue;
-      const double expected =
-          4.0 * kPi *
-          (link_len(to, static_cast<int>(a)) -
-           link_len(from, static_cast<int>(a))) /
-          cfg_.wavelength_m;
-      score += cfg_.temporal_weight * (std::cos(m - expected) - 1.0);
-      ++used;
-    }
-    if (used == 0) return -0.1;
-    return score;
-  };
-
-  return grid_beam_decode(cfg_.grid, start, steps.size(), scorer);
+  const RfIdrawModel model(cfg_, antennas_, std::move(pair_steps),
+                           adjacent_phase_deltas(windows));
+  return grid_beam_decode(cfg_.grid, start, windows.size() - 1, model, stats);
 }
 
 }  // namespace polardraw::baselines

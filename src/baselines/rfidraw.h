@@ -42,7 +42,10 @@ class RfIdrawTracker {
                  std::vector<std::pair<int, int>> pairs,
                  std::vector<double> port_phase_offsets);
 
-  std::vector<Vec2> track(const rfid::TagReportStream& reports) const;
+  /// Recovers the trajectory from a raw report stream. `stats`, when
+  /// non-null, accumulates the grid decode's work counters.
+  std::vector<Vec2> track(const rfid::TagReportStream& reports,
+                          GridDecodeStats* stats = nullptr) const;
 
   const RfIdrawConfig& config() const { return cfg_; }
 

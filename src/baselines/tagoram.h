@@ -32,8 +32,10 @@ class TagoramTracker {
  public:
   TagoramTracker(TagoramConfig cfg, std::vector<em::ReaderAntenna> antennas);
 
-  /// Recovers the trajectory from a raw report stream.
-  std::vector<Vec2> track(const rfid::TagReportStream& reports) const;
+  /// Recovers the trajectory from a raw report stream. `stats`, when
+  /// non-null, accumulates the grid decode's work counters.
+  std::vector<Vec2> track(const rfid::TagReportStream& reports,
+                          GridDecodeStats* stats = nullptr) const;
 
   const TagoramConfig& config() const { return cfg_; }
 

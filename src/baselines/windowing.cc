@@ -1,5 +1,6 @@
 #include "baselines/windowing.h"
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 
@@ -13,14 +14,24 @@ std::vector<MultiWindow> window_reports(
   std::vector<MultiWindow> out;
   if (reports.empty() || num_ports <= 0 || window_s <= 0.0) return out;
 
-  const double t0 = reports.front().timestamp_s;
+  // A report with an out-of-range antenna or a non-finite field is dropped
+  // exactly as if it had never been read: it neither anchors t0 nor lands
+  // in a window.
+  const auto usable = [num_ports](const rfid::TagReport& r) {
+    return r.antenna_id >= 0 && r.antenna_id < num_ports &&
+           std::isfinite(r.timestamp_s) && std::isfinite(r.phase_rad) &&
+           std::isfinite(r.rss_dbm);
+  };
+  const auto first = std::find_if(reports.begin(), reports.end(), usable);
+  if (first == reports.end()) return out;
+  const double t0 = first->timestamp_s;
   struct Acc {
     std::vector<std::vector<double>> phase;
     std::vector<std::vector<double>> rss;
   };
   std::map<int, Acc> buckets;
   for (const auto& r : reports) {
-    if (r.antenna_id < 0 || r.antenna_id >= num_ports) continue;
+    if (!usable(r)) continue;
     const int w = static_cast<int>((r.timestamp_s - t0) / window_s);
     auto& acc = buckets[w];
     if (acc.phase.empty()) {
@@ -76,6 +87,22 @@ std::vector<MultiWindow> window_reports(
     out.push_back(std::move(win));
   }
   return out;
+}
+
+std::vector<std::vector<PortDelta>> adjacent_phase_deltas(
+    const std::vector<MultiWindow>& windows) {
+  std::vector<std::vector<PortDelta>> steps;
+  for (std::size_t w = 1; w < windows.size(); ++w) {
+    const MultiWindow& prev = windows[w - 1];
+    const MultiWindow& cur = windows[w];
+    std::vector<PortDelta>& deltas = steps.emplace_back();
+    for (std::size_t a = 0; a < cur.phase_valid.size(); ++a) {
+      if (cur.phase_valid[a] && prev.phase_valid[a]) {
+        deltas.push_back({a, cur.phase_rad[a] - prev.phase_rad[a]});
+      }
+    }
+  }
+  return steps;
 }
 
 }  // namespace polardraw::baselines

@@ -1,10 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <numeric>
+
 #include "baselines/grid_search.h"
 #include "baselines/rfidraw.h"
 #include "baselines/tagoram.h"
 #include "baselines/windowing.h"
 #include "common/angles.h"
+#include "common/rng.h"
 
 namespace polardraw::baselines {
 namespace {
@@ -67,16 +74,157 @@ TEST(Windowing, DegenerateInputs) {
   EXPECT_TRUE(window_reports({report(0, 0, 1)}, 2, 0.0).empty());
 }
 
+/// Bitwise equality of two window sequences (NaN-safe: compares bits).
+void expect_same_windows(const std::vector<MultiWindow>& a,
+                         const std::vector<MultiWindow>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t w = 0; w < a.size(); ++w) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a[w].t_s),
+              std::bit_cast<std::uint64_t>(b[w].t_s));
+    EXPECT_EQ(a[w].phase_valid, b[w].phase_valid);
+    EXPECT_EQ(a[w].rss_valid, b[w].rss_valid);
+    ASSERT_EQ(a[w].phase_rad.size(), b[w].phase_rad.size());
+    for (std::size_t p = 0; p < a[w].phase_rad.size(); ++p) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a[w].phase_rad[p]),
+                std::bit_cast<std::uint64_t>(b[w].phase_rad[p]));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a[w].rss_dbm[p]),
+                std::bit_cast<std::uint64_t>(b[w].rss_dbm[p]));
+    }
+  }
+}
+
+TEST(Windowing, CorruptingReportsEqualsDeletingThem) {
+  // Metamorphic: a report with a non-finite field or an out-of-range
+  // antenna must give exactly the windows of the stream without it,
+  // including when it is the first report (which anchors t0).
+  constexpr int kPorts = 4;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  Rng rng(2016);
+  rfid::TagReportStream clean;
+  for (int i = 0; i < 400; ++i) {
+    clean.push_back(report(0.013 + i * 0.004, i % kPorts,
+                           0.3 * i + rng.gaussian(0.0, 0.2),
+                           -45.0 + rng.gaussian(0.0, 2.0)));
+  }
+  const std::vector<double> offsets{0.1, -0.4, 2.0, 0.0};
+  for (int trial = 0; trial < 40; ++trial) {
+    const int k = 1 + trial % 6;
+    std::vector<bool> hit(clean.size(), false);
+    if (trial % 4 == 0) hit[0] = true;
+    for (int j = 0; j < k; ++j) {
+      hit[static_cast<std::size_t>(rng.uniform_int(0, 399))] = true;
+    }
+    rfid::TagReportStream corrupted, deleted;
+    for (std::size_t i = 0; i < clean.size(); ++i) {
+      if (!hit[i]) {
+        corrupted.push_back(clean[i]);
+        deleted.push_back(clean[i]);
+        continue;
+      }
+      rfid::TagReport r = clean[i];
+      switch (rng.uniform_int(0, 5)) {
+        case 0: r.timestamp_s = nan; break;
+        case 1: r.timestamp_s = rng.chance(0.5) ? inf : -inf; break;
+        case 2: r.phase_rad = nan; break;
+        case 3: r.phase_rad = inf; break;
+        case 4: r.rss_dbm = rng.chance(0.5) ? nan : -inf; break;
+        default: r.antenna_id = rng.chance(0.5) ? -1 : kPorts; break;
+      }
+      corrupted.push_back(r);
+    }
+    SCOPED_TRACE(trial);
+    expect_same_windows(window_reports(corrupted, kPorts, 0.05),
+                        window_reports(deleted, kPorts, 0.05));
+    expect_same_windows(window_reports(corrupted, kPorts, 0.05, &offsets),
+                        window_reports(deleted, kPorts, 0.05, &offsets));
+  }
+}
+
+TEST(Windowing, AllReportsUnusableGivesNoWindows) {
+  rfid::TagReport r = report(0.0, 0, 1.0);
+  r.phase_rad = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(window_reports({r, report(0.01, 5, 1.0)}, 2, 0.05).empty());
+}
+
+TEST(Windowing, AdjacentPhaseDeltasSkipReadGaps) {
+  // Port 0 read in windows 0, 1 and 3; port 1 in windows 0-3.
+  rfid::TagReportStream reports{report(0.00, 0, 0.1), report(0.01, 1, 0.5),
+                                report(0.05, 0, 0.3), report(0.06, 1, 0.6),
+                                report(0.11, 1, 0.8), report(0.17, 0, 0.7),
+                                report(0.18, 1, 0.9)};
+  const auto steps = adjacent_phase_deltas(window_reports(reports, 2, 0.05));
+  ASSERT_EQ(steps.size(), 3u);
+  ASSERT_EQ(steps[0].size(), 2u);
+  EXPECT_NEAR(steps[0][0].delta_rad, 0.2, 1e-12);
+  EXPECT_EQ(steps[0][1].port, 1u);
+  ASSERT_EQ(steps[1].size(), 1u);  // port 0 missed window 2
+  EXPECT_EQ(steps[1][0].port, 1u);
+  ASSERT_EQ(steps[2].size(), 1u);  // window 2 -> 3 spans port 0's gap
+  EXPECT_EQ(steps[2][0].port, 1u);
+  EXPECT_NEAR(steps[2][0].delta_rad, 0.1, 1e-12);
+}
+
+/// Scoring model over cell centers: a cell's features are its center
+/// (x, y), and `Move` scores a step from the two centers. move_bound is
+/// acc + `bound`; the default +inf rules nothing out.
+template <typename Move>
+struct CenterModel {
+  Move move;
+  double bound = std::numeric_limits<double>::infinity();
+  std::size_t features() const { return 2; }
+  void cell_features(const Vec2& c, double* f) const {
+    f[0] = c.x;
+    f[1] = c.y;
+  }
+  double cell_term(std::size_t, const double*) const { return 0.0; }
+  double move_bound(std::size_t, double acc) const { return acc + bound; }
+  double move_score(std::size_t, const double* from_f, const double* to_f,
+                    double acc) const {
+    return acc + move(Vec2{from_f[0], from_f[1]}, Vec2{to_f[0], to_f[1]});
+  }
+};
+
+template <typename Move>
+CenterModel<Move> center_model(Move move) {
+  return {move};
+}
+
+TEST(GridBeam, MoveBoundSkipsScoringWithoutChangingTheDecode) {
+  // Moves that only penalize (score <= 0 = bound) may be skipped when
+  // their bound cannot beat a cell's best; the decode must not notice.
+  GridConfig cfg;
+  cfg.board_width_m = 0.3;
+  cfg.board_height_m = 0.2;
+  cfg.beam_width = 50;
+  const auto penalty = [](const Vec2& from, const Vec2& to) {
+    // Prefer a slow counter-clockwise drift around (0.15, 0.1); quantized so
+    // that ties are common.
+    const Vec2 want{-(from.y - 0.1), from.x - 0.15};
+    const Vec2 step = to - from;
+    return -std::round(40.0 * (step - want * 0.05).norm() / 0.004) / 8.0;
+  };
+  auto unbounded = center_model(penalty);
+  auto bounded = center_model(penalty);
+  bounded.bound = 0.0;
+  GridDecodeStats su, sb;
+  const auto a = grid_beam_decode(cfg, {0.2, 0.1}, 40, unbounded, &su);
+  const auto b = grid_beam_decode(cfg, {0.2, 0.1}, 40, bounded, &sb);
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(su.candidates, sb.candidates);
+  EXPECT_EQ(su.scored, su.candidates);
+  EXPECT_LT(sb.scored, sb.candidates);
+}
+
 TEST(GridBeam, FollowsScoreGradient) {
   GridConfig cfg;
   cfg.board_width_m = 0.4;
   cfg.board_height_m = 0.3;
   cfg.block_m = 0.01;
   // Reward moving right.
-  const auto scorer = [](std::size_t, const Vec2& from, const Vec2& to) {
-    return (to.x - from.x) * 100.0;
-  };
-  const auto traj = grid_beam_decode(cfg, {0.05, 0.15}, 20, scorer);
+  const auto model = center_model(
+      [](const Vec2& from, const Vec2& to) { return (to.x - from.x) * 100.0; });
+  const auto traj = grid_beam_decode(cfg, {0.05, 0.15}, 20, model);
   ASSERT_EQ(traj.size(), 21u);
   EXPECT_GT(traj.back().x, traj.front().x + 0.1);
 }
@@ -84,10 +232,10 @@ TEST(GridBeam, FollowsScoreGradient) {
 TEST(GridBeam, RespectsSpeedLimit) {
   GridConfig cfg;
   cfg.block_m = 0.01;
-  const auto scorer = [](std::size_t, const Vec2&, const Vec2& to) {
-    return to.x;  // run right as fast as possible
-  };
-  const auto traj = grid_beam_decode(cfg, {0.05, 0.15}, 10, scorer);
+  // Run right as fast as possible.
+  const auto model =
+      center_model([](const Vec2&, const Vec2& to) { return to.x; });
+  const auto traj = grid_beam_decode(cfg, {0.05, 0.15}, 10, model);
   const double max_step = cfg.vmax_mps * cfg.window_s + cfg.block_m;
   for (std::size_t i = 1; i < traj.size(); ++i) {
     EXPECT_LE(traj[i].dist(traj[i - 1]), max_step);
@@ -98,9 +246,118 @@ TEST(GridBeam, ZeroStepsJustStart) {
   GridConfig cfg;
   const auto traj = grid_beam_decode(
       cfg, {0.2, 0.2}, 0,
-      [](std::size_t, const Vec2&, const Vec2&) { return 0.0; });
+      center_model([](const Vec2&, const Vec2&) { return 0.0; }));
   ASSERT_EQ(traj.size(), 1u);
   EXPECT_NEAR(traj[0].x, 0.2, cfg.block_m);
+}
+
+TEST(GridBeam, ZeroSpeedLimitStaysPut) {
+  // With vmax = 0 the stay-put move is the only one in reach, so every
+  // step has exactly one candidate even though the score begs to move.
+  GridConfig cfg;
+  cfg.vmax_mps = 0.0;
+  GridDecodeStats stats;
+  const auto traj = grid_beam_decode(
+      cfg, {0.3, 0.2}, 12,
+      center_model([](const Vec2&, const Vec2& to) { return to.x; }), &stats);
+  ASSERT_EQ(traj.size(), 13u);
+  for (const Vec2& p : traj) EXPECT_EQ(p, traj.front());
+  EXPECT_EQ(stats.windows, 12u);
+  EXPECT_EQ(stats.candidates, 12u);
+  EXPECT_EQ(stats.scored, 12u);
+}
+
+TEST(GridBeam, KnifeEdgeMovesKeepExactTest) {
+  // Default board: reach 0.2 m/s * 50 ms = 1 cm plus half a 4 mm block is
+  // 1.2 cm, so the axis moves of exactly 3 blocks sit on the radius and
+  // must be decided per candidate; diagonals (2, 2) are strictly inside.
+  const detail::GridFrame g = detail::make_frame(GridConfig{}, {0.5, 0.3});
+  int knife = 0;
+  for (const auto& m : g.moves) {
+    const int r2 = m.dr * m.dr + m.dc * m.dc;
+    EXPECT_LE(r2, 9);
+    EXPECT_EQ(m.knife_edge, r2 == 9) << m.dr << "," << m.dc;
+    knife += m.knife_edge ? 1 : 0;
+  }
+  EXPECT_EQ(knife, 4);
+  EXPECT_EQ(g.moves.size(), 29u);
+}
+
+TEST(GridBeam, KnifeEdgeMatchesCenterDistanceEverywhere) {
+  // The displacement table plus the knife-edge test admits exactly the
+  // moves the center-distance test admits, from every cell of the board.
+  GridConfig cfg;
+  cfg.board_width_m = 0.2;
+  cfg.board_height_m = 0.12;
+  const detail::GridFrame g = detail::make_frame(cfg, {0.1, 0.06});
+  const int reach = 3;
+  for (int r = 0; r < g.rows; ++r) {
+    for (int c = 0; c < g.cols; ++c) {
+      const Vec2 from = g.center(c, r);
+      for (int dr = -reach - 1; dr <= reach + 1; ++dr) {
+        for (int dc = -reach - 1; dc <= reach + 1; ++dc) {
+          const bool exact = from.dist(g.center(c + dc, r + dr)) <= g.radius_m;
+          bool table = false;
+          for (const auto& m : g.moves) {
+            if (m.dr == dr && m.dc == dc) {
+              table = !m.knife_edge ||
+                      from.dist(g.center(c + dc, r + dr)) <= g.radius_m;
+            }
+          }
+          ASSERT_EQ(table, exact) << c << "," << r << " + " << dc << "," << dr;
+        }
+      }
+    }
+  }
+}
+
+TEST(GridBeam, IndexPruneMatchesNodePrune) {
+  // The engine prunes an index array with the node comparator; the
+  // partition depends only on comparison outcomes, so it keeps the same
+  // survivors in the same order as nth_element over the nodes -- ties
+  // included (a blind step scores every move -0.1).
+  struct Node {
+    int id;
+    float log_prob;
+  };
+  const auto check = [](const std::vector<float>& lps, std::size_t keep) {
+    std::vector<Node> nodes;
+    for (std::size_t i = 0; i < lps.size(); ++i) {
+      nodes.push_back({static_cast<int>(i), lps[i]});
+    }
+    std::vector<std::int32_t> order(nodes.size());
+    std::iota(order.begin(), order.end(), 0);
+    const auto cut = static_cast<std::ptrdiff_t>(keep);
+    std::nth_element(nodes.begin(), nodes.begin() + cut, nodes.end(),
+                     [](const Node& a, const Node& b) {
+                       return a.log_prob > b.log_prob;
+                     });
+    std::nth_element(order.begin(), order.begin() + cut, order.end(),
+                     [&](std::int32_t a, std::int32_t b) {
+                       return lps[static_cast<std::size_t>(a)] >
+                              lps[static_cast<std::size_t>(b)];
+                     });
+    for (std::size_t k = 0; k < keep; ++k) {
+      ASSERT_EQ(order[k], nodes[k].id) << "rank " << k;
+    }
+  };
+  // All ties: every move of a blind step from a uniform beam.
+  check(std::vector<float>(5400, -0.1f), 600);
+  // A few distinct values, heavily tied.
+  std::vector<float> coarse;
+  for (int i = 0; i < 5400; ++i) {
+    coarse.push_back(static_cast<float>((i * 7919) % 13) * -0.5f);
+  }
+  check(coarse, 600);
+  // Distinct values, plus a tied band straddling the cut.
+  std::vector<float> mixed;
+  for (int i = 0; i < 3000; ++i) {
+    mixed.push_back(i % 3 == 0
+                        ? -1.0f
+                        : -static_cast<float>((i * 104729) % 3001) / 1000.0f);
+  }
+  check(mixed, 600);
+  check(mixed, 2999);
 }
 
 /// Synthesizes ideal (noise-free) phase reports for a tag gliding right,

@@ -362,7 +362,7 @@ TEST(R3Suffix, ParameterTypeNameIsNotADeclarator) {
 }
 
 // ---------------------------------------------------------------------------
-// R6: deterministic pruning in core/ and server/
+// R6: deterministic pruning in core/, server/ and baselines/
 // ---------------------------------------------------------------------------
 
 TEST(R6Sort, FiresOnFloatKeyLambdaWithoutTieBreak) {
@@ -422,7 +422,17 @@ TEST(R6Sort, UnorderedContainerBannedInScope) {
   const std::string use = "std::unordered_set<int> seen;\n";
   EXPECT_EQ(count_rule(lint_source("src/core/foo.cc", use), "R6"), 1);
   EXPECT_EQ(count_rule(lint_source("src/server/foo.cc", use), "R6"), 1);
-  EXPECT_EQ(count_rule(lint_source("src/baselines/foo.cc", use), "R6"), 0);
+  EXPECT_EQ(count_rule(lint_source("src/baselines/foo.cc", use), "R6"), 1);
+  EXPECT_EQ(count_rule(lint_source("src/em/foo.cc", use), "R6"), 0);
+}
+
+TEST(R6Sort, FiresInBaselines) {
+  // The baseline trackers' grid decode prunes like the core decoder.
+  const auto vs = lint_source(
+      "src/baselines/foo.cc",
+      "std::nth_element(order.begin(), order.begin() + k, order.end(),\n"
+      "    [&](int a, int b) { return logp[a] > logp[b]; });\n");
+  EXPECT_EQ(count_rule(vs, "R6"), 1);
 }
 
 TEST(R6Sort, Suppressed) {

@@ -602,9 +602,11 @@ std::vector<Violation> lint_source(std::string_view path,
   const bool exempt_r2 = path_ends_with(path, "common/units.h");
   const bool exempt_r4 = path_ends_with(path, "common/rng.h") ||
                          path_ends_with(path, "common/seed.h");
-  // R6 polices the decode-critical directories only.
+  // R6 polices the decode-critical directories only: the core decoder,
+  // the server around it and the baseline trackers' grid decode.
   const bool scope_r6 = path_starts_with(path, "src/core/") ||
-                        path_starts_with(path, "src/server/");
+                        path_starts_with(path, "src/server/") ||
+                        path_starts_with(path, "src/baselines/");
   // R7: clocks may be read by the observability layer (src/obs and its
   // tests), the pool's trace plumbing, and benchmarks. EXCEPT the
   // sim-time-driven obs modules: the rolling SLO window and the
@@ -749,9 +751,9 @@ std::vector<Violation> lint_source(std::string_view path,
            "array / flat structure (see core/expand_kernel.h)");
     }
 
-    // R6a: unordered containers are banned in core/ and server/ --
-    // iteration order is implementation-defined and must never feed
-    // decoded output.
+    // R6a: unordered containers are banned in core/, server/ and
+    // baselines/ -- iteration order is implementation-defined and must
+    // never feed decoded output.
     if (scope_r6 && (t.text == "unordered_map" || t.text == "unordered_set" ||
                      t.text == "unordered_multimap" ||
                      t.text == "unordered_multiset")) {

@@ -30,11 +30,12 @@
 //       harness, never from entropy or global state).
 //   R5  no std::unordered_map in files tagged `// polarlint: hot-path`
 //       (the PR-2 scoreboard lesson: node-based maps wreck the decode loop).
-//   R6  determinism of pruning in core/ and server/: std::sort /
-//       std::stable_sort / std::partial_sort / std::nth_element over
-//       float/double keys must use an index-tie-broken comparator (the PR-7
-//       stdlib-independence lesson: how ties partition is implementation
-//       defined, so survivor *sets* must be a pure function of the values).
+//   R6  determinism of pruning in core/, server/ and baselines/:
+//       std::sort / std::stable_sort / std::partial_sort / std::nth_element
+//       over float/double keys must use an index-tie-broken comparator
+//       (the PR-7 stdlib-independence lesson: how ties partition is
+//       implementation defined, so survivor *sets* must be a pure function
+//       of the values).
 //       Named comparators are resolved to their definition in the same
 //       file. Unordered containers (std::unordered_{map,set,...}) are
 //       banned outright in these directories -- iteration order must never
