@@ -1,17 +1,20 @@
 // Micro-benchmarks of the computational kernels (google-benchmark only,
 // no experiment table): channel evaluation, pre-processing, Viterbi
-// decoding, the baselines' grid decode, Procrustes/DTW scoring, and the
-// stroke synthesizer. These quantify the real-time claim (Viterbi "can be
-// computed in real-time even with an embedded mini PC", section 3.5).
+// decoding and its beam prune, the baselines' grid decode, Procrustes/DTW
+// scoring, and the stroke synthesizer. These quantify the real-time claim
+// (Viterbi "can be computed in real-time even with an embedded mini PC",
+// section 3.5).
 #include <benchmark/benchmark.h>
 
 #include "baselines/tagoram.h"
 #include "bench_common.h"
 #include "channel/multipath.h"
 #include "common/angles.h"
+#include "common/rng.h"
 #include "core/decode_testbed.h"
 #include "core/hmm_tracker.h"
 #include "core/polardraw.h"
+#include "core/streaming_decoder.h"
 #include "eval/harness.h"
 #include "handwriting/synthesizer.h"
 #include "recognition/dtw.h"
@@ -110,6 +113,26 @@ static void BM_ExpandKernelDecode(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 100);
 }
 BENCHMARK(BM_ExpandKernelDecode)->Unit(benchmark::kMillisecond);
+
+static void BM_RankBeam(benchmark::State& state) {
+  // The decoder's beam prune (core::rank_beam) at a fixed size: 850
+  // seeded candidates (a default-board letters window) in the
+  // renormalized log-prob range, the best 600 kept.
+  constexpr std::size_t kCandidates = 850, kKeep = 600;
+  Rng rng(14);
+  std::vector<float> logp(kCandidates);
+  for (float& lp : logp) lp = -static_cast<float>(rng.uniform() * 40.0);
+  logp[kCandidates / 2] = 0.0f;
+  std::vector<std::uint64_t> keys, scratch;
+  for (auto _ : state) {
+    core::rank_beam(logp, kKeep, keys, scratch);
+    benchmark::DoNotOptimize(keys.data());
+  }
+  state.counters["candidates_per_s"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * kCandidates),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_RankBeam);
 
 static void BM_GridBeamDecode(benchmark::State& state) {
   // The baselines' grid decode (baselines/grid_search.h) at a fixed size:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 
 #include "common/angles.h"
@@ -32,7 +33,16 @@ std::vector<MultiWindow> window_reports(
   std::map<int, Acc> buckets;
   for (const auto& r : reports) {
     if (!usable(r)) continue;
-    const int w = static_cast<int>((r.timestamp_s - t0) / window_s);
+    // The index is truncated in double first: a finite but huge timestamp
+    // would overflow the int conversion. A report whose index does not fit
+    // is dropped; it is never the first one (which has index 0), so this
+    // equals deleting it.
+    const double wd = std::trunc((r.timestamp_s - t0) / window_s);
+    if (!(wd >= static_cast<double>(std::numeric_limits<int>::min()) &&
+          wd <= static_cast<double>(std::numeric_limits<int>::max()))) {
+      continue;
+    }
+    const int w = static_cast<int>(wd);
     auto& acc = buckets[w];
     if (acc.phase.empty()) {
       acc.phase.resize(static_cast<std::size_t>(num_ports));

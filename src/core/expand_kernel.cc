@@ -124,10 +124,16 @@ bool ExpandKernel::fill_box(const WindowTerms& w,
                             ExpandStats& stats) {
   const int reach = w.reach_blocks;
   const int lim0 = dc_lim_[0];  // the widest column reach (|dr| = 0)
+  const std::size_t n_par = prev_end - prev_begin;
+  par_r_.resize(n_par);
+  par_c_.resize(n_par);
   int pr_lo = rows_, pr_hi = -1, pc_lo = cols_, pc_hi = -1;
-  for (std::size_t a = prev_begin; a < prev_end; ++a) {
-    const int pr = cells[a] / cols_;
-    const int pc = cells[a] % cols_;
+  for (std::size_t p = 0; p < n_par; ++p) {
+    const int cell = cells[prev_begin + p];
+    const int pr = cell / cols_;
+    const int pc = cell - pr * cols_;
+    par_r_[p] = pr;
+    par_c_[p] = pc;
     pr_lo = std::min(pr_lo, pr);
     pr_hi = std::max(pr_hi, pr);
     pc_lo = std::min(pc_lo, pc);
@@ -144,36 +150,54 @@ bool ExpandKernel::fill_box(const WindowTerms& w,
   box_key_.assign(box, 0);
   box_first_.assign(box, kNoParent);
   hyper_logw_.resize(box);
-  span_lo_.assign(static_cast<std::size_t>(box_h_), cols_);
-  span_hi_.assign(static_cast<std::size_t>(box_h_), -1);
+  // Column extent of the parents in each box row; an empty row keeps a
+  // sentinel extent so far off the board that every span it widens stays
+  // empty after clipping.
+  constexpr int kFar = 1 << 29;
+  row_cmin_.assign(static_cast<std::size_t>(box_h_), kFar);
+  row_cmax_.assign(static_cast<std::size_t>(box_h_), -kFar);
   in_box_.clear();
   in_logp_.clear();
   in_parent_.clear();
   edge_parent_.clear();
 
-  // Per-row column spans touched by the beam (bounding the hyperbola
-  // precompute to a superset of the candidate set), and the interior/edge
-  // split: an interior parent's whole reach lies on the board.
-  for (std::size_t a = prev_begin; a < prev_end; ++a) {
-    const int pr = cells[a] / cols_;
-    const int pc = cells[a] % cols_;
-    const int dr_lo = std::max(-reach, -pr);
-    const int dr_hi = std::min(reach, rows_ - 1 - pr);
-    for (int dr = dr_lo; dr <= dr_hi; ++dr) {
-      const int lim = dc_lim_[static_cast<std::size_t>(dr < 0 ? -dr : dr)];
-      const auto br = static_cast<std::size_t>(pr + dr - box_r0_);
-      span_lo_[br] = std::min(span_lo_[br], std::max(0, pc - lim));
-      span_hi_[br] = std::max(span_hi_[br], std::min(cols_ - 1, pc + lim));
-    }
-    const auto p = static_cast<std::uint32_t>(a - prev_begin);
+  // Row extents, and the interior/edge split: an interior parent's whole
+  // reach lies on the board.
+  for (std::size_t p = 0; p < n_par; ++p) {
+    const int pr = par_r_[p];
+    const int pc = par_c_[p];
+    const auto br = static_cast<std::size_t>(pr - box_r0_);
+    row_cmin_[br] = std::min(row_cmin_[br], pc);
+    row_cmax_[br] = std::max(row_cmax_[br], pc);
     if (pr >= reach && pr + reach < rows_ && pc >= lim0 &&
         pc + lim0 < cols_) {
       in_box_.push_back((pr - box_r0_) * box_w_ + (pc - box_c0_));
-      in_logp_.push_back(static_cast<double>(logp[a]));
-      in_parent_.push_back(p);
+      in_logp_.push_back(static_cast<double>(logp[prev_begin + p]));
+      in_parent_.push_back(static_cast<std::uint32_t>(p));
     } else {
-      edge_parent_.push_back(p);
+      edge_parent_.push_back(static_cast<std::uint32_t>(p));
     }
+  }
+
+  // Per-row column spans touched by the beam (bounding the hyperbola
+  // precompute to a superset of the candidate set): box row br is reached
+  // from the parent rows br - dr, |dr| <= reach, each widened by its
+  // column reach dc_lim_[|dr|]. min/max commute with the constant shift and
+  // the board clip, so this is the per-parent union row for row.
+  span_lo_.resize(static_cast<std::size_t>(box_h_));
+  span_hi_.resize(static_cast<std::size_t>(box_h_));
+  for (int br = 0; br < box_h_; ++br) {
+    int lo = kFar, hi = -kFar;
+    const int dr_lo = std::max(-reach, br - (box_h_ - 1));
+    const int dr_hi = std::min(reach, br);
+    for (int dr = dr_lo; dr <= dr_hi; ++dr) {
+      const int lim = dc_lim_[static_cast<std::size_t>(dr < 0 ? -dr : dr)];
+      const auto src = static_cast<std::size_t>(br - dr);
+      lo = std::min(lo, row_cmin_[src] - lim);
+      hi = std::max(hi, row_cmax_[src] + lim);
+    }
+    span_lo_[static_cast<std::size_t>(br)] = std::max(0, lo);
+    span_hi_[static_cast<std::size_t>(br)] = std::min(cols_ - 1, hi);
   }
 
   const double inv_4pi = 1.0 / (4.0 * kPi);
@@ -282,10 +306,9 @@ void ExpandKernel::expand(const TrackObservation& o,
   // Edge parents: the reference's per-lane walk over the board-clipped
   // reach.
   for (const std::uint32_t p : edge_parent_) {
-    const std::size_t a = prev_begin + p;
-    const int pr = node_cell[a] / cols_;
-    const int pc = node_cell[a] % cols_;
-    const double plp = static_cast<double>(node_logp[a]);
+    const int pr = par_r_[p];
+    const int pc = par_c_[p];
+    const double plp = static_cast<double>(node_logp[prev_begin + p]);
     const int dr_lo = std::max(-reach, -pr);
     const int dr_hi = std::min(reach, rows_ - 1 - pr);
     for (int dr = dr_lo; dr <= dr_hi; ++dr) {

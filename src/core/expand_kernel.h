@@ -130,6 +130,8 @@ class ExpandKernel {
 
   // --- Box scratch (the beam's reachable bounding box) --------------------
   int box_r0_ = 0, box_c0_ = 0, box_w_ = 0, box_h_ = 0;
+  std::vector<int> par_r_, par_c_;          // parent row/column, decoded once
+  std::vector<int> row_cmin_, row_cmax_;    // parent column extent per box row
   std::vector<int> span_lo_, span_hi_;      // touched columns per box row
   std::vector<double> hyper_logw_;          // per-cell hyperbola log-weight
   std::vector<std::uint64_t> box_key_;      // packed best key, 0 = empty

@@ -3,7 +3,9 @@
 // polarlint: hot-path -- no node-based hash maps in the decode loop.
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <utility>
 
 #include "common/angles.h"
 #include "obs/metrics.h"
@@ -12,17 +14,36 @@
 namespace polardraw::core {
 
 void rank_beam(const std::vector<float>& logp, std::size_t keep,
-               std::vector<std::uint64_t>& keys) {
-  // Ascending key order is (log-prob descending, index ascending), so
-  // selection compares plain integers instead of chasing indices, and the
-  // stdlib's handling of equal keys cannot matter: keys are unique.
-  keys.resize(logp.size());
-  for (std::size_t i = 0; i < logp.size(); ++i) {
-    keys[i] = (std::uint64_t{~ordered_float_bits(logp[i])} << 32) | i;
+               std::vector<std::uint64_t>& keys,
+               std::vector<std::uint64_t>& scratch) {
+  // Ascending key order is (log-prob descending, index ascending). The
+  // keys start in index order and a stable LSD radix sort on the 32-bit
+  // rank word keeps equal ranks in that order, so the index tie-break
+  // needs no digits of its own. One pass builds the keys and all four
+  // digit histograms; a digit every key shares moves nothing and is
+  // skipped.
+  constexpr std::size_t kDigits = 4;
+  const std::size_t n = logp.size();
+  keys.resize(n);
+  scratch.resize(n);
+  std::array<std::array<std::uint32_t, 256>, kDigits> hist{};
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t rank = ~ordered_float_bits(logp[i]);
+    keys[i] = (std::uint64_t{rank} << 32) | i;
+    for (std::size_t d = 0; d < kDigits; ++d) {
+      ++hist[d][(rank >> (8 * d)) & 0xFFu];
+    }
   }
-  const auto kept = keys.begin() + static_cast<std::ptrdiff_t>(keep);
-  std::nth_element(keys.begin(), kept, keys.end());
-  std::sort(keys.begin(), kept);
+  for (std::size_t d = 0; d < kDigits && n > 0; ++d) {
+    const unsigned shift = 32 + 8 * static_cast<unsigned>(d);
+    std::array<std::uint32_t, 256>& h = hist[d];
+    if (h[(keys[0] >> shift) & 0xFFu] == n) continue;
+    std::uint32_t sum = 0;
+    for (std::uint32_t& c : h) sum += std::exchange(c, sum);
+    for (const std::uint64_t k : keys) scratch[h[(k >> shift) & 0xFFu]++] = k;
+    keys.swap(scratch);
+  }
+  keys.resize(std::min(keep, n));
 }
 
 StreamingDecoder::StreamingDecoder(const PolarDrawConfig& cfg, Vec2 a1,
@@ -244,9 +265,9 @@ void StreamingDecoder::step(const TrackObservation& o,
   const std::size_t n_cand = cand_cell_.size();
   const std::size_t new_begin = node_cell_.size();
   if (n_cand > cfg_.beam_width) {
-    rank_beam(cand_logp_, cfg_.beam_width, prune_key_);
-    for (std::size_t i = 0; i < cfg_.beam_width; ++i) {
-      const auto s = static_cast<std::uint32_t>(prune_key_[i]);
+    rank_beam(cand_logp_, cfg_.beam_width, prune_key_, prune_scratch_);
+    for (const std::uint64_t key : prune_key_) {
+      const auto s = static_cast<std::uint32_t>(key);
       node_cell_.push_back(cand_cell_[s]);
       node_logp_.push_back(cand_logp_[s]);
       node_parent_.push_back(cand_parent_[s]);

@@ -29,8 +29,8 @@
 // core/expand_kernel.h, which emits candidates in a fixed first-touch
 // traversal order, and (2) beam pruning that orders candidates by
 // (log-prob descending, candidate index ascending) -- one packed integer
-// key per candidate -- and sorts the kept prefix, so neither the survivor
-// set nor the arena order depends on how std::nth_element resolves ties.
+// key per candidate, ranked by a stable radix sort -- so neither the
+// survivor set nor the arena order depends on any library's tie handling.
 // Log-probs are renormalized every window (the window max is subtracted
 // before candidates enter the arena), so the beam front's best node sits at
 // exactly 0 and a session never loses float resolution no matter how long
@@ -73,11 +73,15 @@ struct StreamingConfig {
 };
 
 /// Beam pruning of one window: ranks the candidates by (log-prob
-/// descending, candidate index ascending) and leaves the best `keep`
-/// (< logp.size()) in rank order in keys[0, keep), each packed as
-/// (~ordered_float_bits(logp) << 32) | candidate index. `keys` is scratch.
+/// descending, candidate index ascending) and leaves the best
+/// min(keep, logp.size()) in rank order in `keys` (resized to that count),
+/// each packed as (~ordered_float_bits(logp) << 32) | candidate index. An
+/// empty input leaves `keys` empty. `scratch` is the radix sort's second
+/// buffer; a caller that keeps both vectors allocates only when the
+/// candidate count grows.
 void rank_beam(const std::vector<float>& logp, std::size_t keep,
-               std::vector<std::uint64_t>& keys);
+               std::vector<std::uint64_t>& keys,
+               std::vector<std::uint64_t>& scratch);
 
 class StreamingDecoder {
  public:
@@ -204,7 +208,7 @@ class StreamingDecoder {
   // Scratch reused across steps (see HmmTracker::decode history).
   std::vector<std::int32_t> cand_cell_, cand_parent_;
   std::vector<float> cand_logp_;
-  std::vector<std::uint64_t> prune_key_;
+  std::vector<std::uint64_t> prune_key_, prune_scratch_;
 
   // Per-window renormalization state (see the determinism contract above).
   float last_window_logp_max_ = 0.0f;

@@ -141,6 +141,25 @@ TEST(Windowing, CorruptingReportsEqualsDeletingThem) {
   }
 }
 
+TEST(Windowing, HugeTimestampEqualsDeletingIt) {
+  // A finite timestamp so far from the first report that its window index
+  // does not fit in an int is dropped like any unusable report.
+  constexpr int kPorts = 2;
+  rfid::TagReportStream clean;
+  for (int i = 0; i < 60; ++i) {
+    clean.push_back(report(0.002 + i * 0.01, i % kPorts, 0.2 * i));
+  }
+  const double huge[] = {1e12, -1e12, 1e300, -1e300};
+  for (const double t : huge) {
+    SCOPED_TRACE(t);
+    rfid::TagReportStream corrupted = clean;
+    corrupted.insert(corrupted.begin() + 17, report(t, 1, 0.4));
+    corrupted.push_back(report(t, 0, 1.3));
+    expect_same_windows(window_reports(corrupted, kPorts, 0.05),
+                        window_reports(clean, kPorts, 0.05));
+  }
+}
+
 TEST(Windowing, AllReportsUnusableGivesNoWindows) {
   rfid::TagReport r = report(0.0, 0, 1.0);
   r.phase_rad = std::numeric_limits<double>::quiet_NaN();

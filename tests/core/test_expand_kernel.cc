@@ -24,6 +24,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -291,6 +293,122 @@ TEST(ExpandKernelParity, EmptyBeamAndStarvedWindow) {
   EXPECT_EQ(traj[4].y, traj[3].y);
 }
 
+/// Cells whose hyperbola log-weight the kernel evaluates, by brute force:
+/// every parent touches, in each on-board row pr + dr (|dr| <= reach), the
+/// on-board columns within the integer annulus bound lim(|dr|) of its
+/// column, and each row is evaluated over the hull of its touched columns.
+std::uint64_t brute_force_hyper_cells(const PolarDrawConfig& cfg,
+                                      const PhaseField& field,
+                                      const TrackObservation& o,
+                                      const Beam& beam) {
+  const double lower = o.distance.valid ? o.distance.lower_m : 0.0;
+  const double upper =
+      std::max({o.distance.upper_m, lower, cfg.block_m * 0.5});
+  const int reach =
+      std::max(1, static_cast<int>(std::ceil(upper / cfg.block_m)));
+  const double r_blocks = (upper + 0.5 * cfg.block_m) / cfg.block_m;
+  const auto lim = [&](int dr) {
+    const double rem = r_blocks * r_blocks - static_cast<double>(dr) * dr;
+    return rem <= 0.0 ? 0
+                      : std::min(reach, static_cast<int>(std::sqrt(rem)) + 1);
+  };
+  const int rows = field.rows(), cols = field.cols();
+  std::vector<int> lo(static_cast<std::size_t>(rows), cols);
+  std::vector<int> hi(static_cast<std::size_t>(rows), -1);
+  for (const std::int32_t cell : beam.cell) {
+    const int pr = cell / cols, pc = cell % cols;
+    for (int dr = -reach; dr <= reach; ++dr) {
+      const int r = pr + dr;
+      if (r < 0 || r >= rows) continue;
+      const int l = lim(std::abs(dr));
+      auto& rl = lo[static_cast<std::size_t>(r)];
+      auto& rh = hi[static_cast<std::size_t>(r)];
+      rl = std::min(rl, std::max(0, pc - l));
+      rh = std::max(rh, std::min(cols - 1, pc + l));
+    }
+  }
+  std::uint64_t n = 0;
+  for (int r = 0; r < rows; ++r) {
+    const auto i = static_cast<std::size_t>(r);
+    if (lo[i] <= hi[i]) n += static_cast<std::uint64_t>(hi[i] - lo[i] + 1);
+  }
+  return n;
+}
+
+TEST(ExpandKernelParity, HyperCellsEqualBruteForceSpanUnion) {
+  // The kernel derives each box row's column span from its neighbouring
+  // parent rows' extents; the count must equal the per-parent union, for
+  // beams on all four edges, two far-apart clusters (on disjoint rows and
+  // sharing rows), and filled and ring annuli of several reaches.
+  const PolarDrawConfig cfg;
+  const auto tb = make_decode_testbed(cfg, 1, 9);
+  const PhaseField field(cfg, tb.a1, tb.a2, tb.antenna_z);
+  const int rows = field.rows(), cols = field.cols();
+  Rng rng(31);
+  std::vector<Beam> beams(3);
+  // All four edges and corners, next to a mid-board parent.
+  beams[0].add(field, 0, 0, 0.0f);
+  beams[0].add(field, 0, cols / 2, -0.5f);
+  beams[0].add(field, rows - 1, cols - 1, -0.25f);
+  beams[0].add(field, rows / 2, 0, -1.0f);
+  beams[0].add(field, rows - 1, 3, -0.75f);
+  beams[0].add(field, 2, cols - 1, -0.125f);
+  beams[0].add(field, rows / 2, cols / 2, -2.0f);
+  // Two clusters, far apart in rows and columns.
+  for (int i = 0; i < 40; ++i) {
+    beams[1].add(field, 20 + static_cast<int>(rng.uniform() * 8.0),
+                 30 + static_cast<int>(rng.uniform() * 12.0),
+                 -static_cast<float>(rng.uniform()));
+    beams[1].add(field, rows - 25 + static_cast<int>(rng.uniform() * 6.0),
+                 cols - 40 + static_cast<int>(rng.uniform() * 10.0),
+                 -static_cast<float>(rng.uniform()));
+  }
+  // Two clusters sharing rows: each row's span bridges the gap.
+  for (int i = 0; i < 40; ++i) {
+    const int r = 60 + static_cast<int>(rng.uniform() * 10.0);
+    beams[2].add(field, r, 10 + static_cast<int>(rng.uniform() * 5.0),
+                 -static_cast<float>(rng.uniform()));
+    beams[2].add(field, r + 1,
+                 cols - 15 + static_cast<int>(rng.uniform() * 5.0),
+                 -static_cast<float>(rng.uniform()));
+  }
+  const double uppers[] = {0.001, 0.010, 0.012, 0.018, 0.030};
+  const double lowers[] = {0.0, 0.0, 0.009, 0.008, 0.020};
+  for (std::size_t b = 0; b < beams.size(); ++b) {
+    for (int k = 0; k < 5; ++k) {
+      SCOPED_TRACE(testing::Message() << "beam " << b << " window " << k);
+      TrackObservation o = tb.obs[0];
+      o.has_phase = true;
+      o.distance.valid = true;
+      o.distance.upper_m = uppers[k];
+      o.distance.lower_m = lowers[k];
+      const Expansion e = expect_kernel_matches_oracle(cfg, field, o, beams[b]);
+      const std::uint64_t want =
+          brute_force_hyper_cells(cfg, field, o, beams[b]);
+      EXPECT_EQ(e.stats.hyper_cells, want);
+      EXPECT_GE(want, e.cell.size());
+    }
+  }
+}
+
+/// rank_beam against the comparator oracle: the kept count, the kept
+/// indices in rank order, and each key's rank word.
+void expect_rank_matches_oracle(const std::vector<float>& logp,
+                                std::size_t keep,
+                                std::vector<std::uint64_t>& keys,
+                                std::vector<std::uint64_t>& scratch) {
+  const std::vector<std::int32_t> want = oracle_rank(logp, keep);
+  rank_beam(logp, keep, keys, scratch);
+  ASSERT_EQ(keys.size(), want.size())
+      << "n " << logp.size() << " keep " << keep;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(static_cast<std::int32_t>(keys[i] & 0xFFFFFFFFu), want[i])
+        << "n " << logp.size() << " keep " << keep << " rank " << i;
+    ASSERT_EQ(static_cast<std::uint32_t>(keys[i] >> 32),
+              ~ordered_float_bits(logp[static_cast<std::size_t>(want[i])]));
+  }
+}
+
 TEST(RankBeam, PackedKeysMatchComparatorOnAdversarialTies) {
   // Heavy ties, signed zeros, extremes and subnormals: the packed-key
   // ranking must keep and order exactly what the index-tie-broken
@@ -307,28 +425,86 @@ TEST(RankBeam, PackedKeysMatchComparatorOnAdversarialTies) {
                         -std::numeric_limits<float>::denorm_min(),
                         -0.5f};
   Rng rng(2024);
-  std::vector<std::uint64_t> keys;
+  std::vector<std::uint64_t> keys, scratch;
   for (int trial = 0; trial < 40; ++trial) {
     const std::size_t n = 2 + static_cast<std::size_t>(rng.uniform() * 300.0);
     std::vector<float> logp(n);
     for (float& lp : logp) {
       lp = pool[static_cast<std::size_t>(rng.uniform() * 10.0) % 10];
     }
+    SCOPED_TRACE(trial);
     for (std::size_t keep = 1; keep < n; keep += 1 + n / 7) {
-      const std::vector<std::int32_t> want = oracle_rank(logp, keep);
-      rank_beam(logp, keep, keys);
-      for (std::size_t i = 0; i < keep; ++i) {
-        ASSERT_EQ(static_cast<std::int32_t>(keys[i] & 0xFFFFFFFFu), want[i])
-            << "trial " << trial << " keep " << keep << " rank " << i;
-      }
+      expect_rank_matches_oracle(logp, keep, keys, scratch);
     }
   }
   // Signed zeros are one value: the index alone breaks the tie.
-  rank_beam({-0.0f, 0.0f, -0.0f}, 2, keys);
+  rank_beam({-0.0f, 0.0f, -0.0f}, 2, keys, scratch);
   EXPECT_EQ(keys[0] & 0xFFFFFFFFu, 0u);
   EXPECT_EQ(keys[1] & 0xFFFFFFFFu, 1u);
   EXPECT_EQ(ordered_float_bits(-0.0f), ordered_float_bits(0.0f));
   EXPECT_EQ(float_from_ordered_bits(ordered_float_bits(-1.5f)), -1.5f);
+}
+
+TEST(RankBeam, RadixDigitPatternsAndCutsMatchComparator) {
+  // The radix sort moves keys one 8-bit digit of the rank word at a time
+  // and skips a digit every key shares. Each score family below exercises
+  // a different set of live digits: none (all equal), only the lowest
+  // (scores at most 199 ulps apart), all four (scores spanning signs and
+  // exponents), and the decoder's own regime (renormalized log-probs in
+  // [-40, 0]). Every family runs at sizes up to ~5000 and at the cuts 1,
+  // n - 1, n and past n.
+  const std::size_t sizes[] = {1, 2, 3, 255, 256, 257, 850, 4999};
+  std::vector<std::uint64_t> keys, scratch;
+  Rng rng(14);
+  const std::uint32_t base = std::bit_cast<std::uint32_t>(-3.0f);
+  for (const std::size_t n : sizes) {
+    std::vector<std::vector<float>> families(4, std::vector<float>(n));
+    for (std::size_t i = 0; i < n; ++i) {
+      families[0][i] = -2.75f;
+      families[1][i] = std::bit_cast<float>(
+          base + static_cast<std::uint32_t>(rng.uniform() * 200.0));
+      const int exponent = static_cast<int>(rng.uniform() * 200.0) - 100;
+      families[2][i] = static_cast<float>((rng.chance(0.5) ? 1.0 : -1.0) *
+                                          std::ldexp(rng.uniform(), exponent));
+      families[3][i] = -static_cast<float>(rng.uniform() * 40.0);
+    }
+    // Duplicates within the wide families, so ties meet live digits.
+    for (std::size_t i = 1; i < n; i += 7) {
+      families[2][i] = families[2][i - 1];
+      families[3][i] = families[3][i / 2];
+    }
+    for (std::size_t f = 0; f < families.size(); ++f) {
+      SCOPED_TRACE(f);
+      for (const std::size_t keep : {std::size_t{1}, n - 1, n, n + 5}) {
+        if (keep == 0) continue;
+        expect_rank_matches_oracle(families[f], keep, keys, scratch);
+      }
+    }
+  }
+  // The low-byte family really differs only in its lowest digit, and the
+  // wide one in its highest.
+  const std::uint32_t a = ~ordered_float_bits(-3.0f);
+  const std::uint32_t b =
+      ~ordered_float_bits(std::bit_cast<float>(base + 199u));
+  EXPECT_EQ(a >> 8, b >> 8);
+  EXPECT_NE(~ordered_float_bits(1e-20f) >> 24,
+            ~ordered_float_bits(-1e20f) >> 24);
+}
+
+TEST(RankBeam, KeepPastSizeAndEmptyInputReturnEverythingRanked) {
+  std::vector<std::uint64_t> keys{7, 8, 9}, scratch;
+  rank_beam({}, 600, keys, scratch);
+  EXPECT_TRUE(keys.empty());
+  rank_beam({-1.0f, 0.0f, -1.0f, -0.5f}, 600, keys, scratch);
+  ASSERT_EQ(keys.size(), 4u);
+  const std::uint32_t want[] = {1, 3, 0, 2};
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(static_cast<std::uint32_t>(keys[i]), want[i]) << "rank " << i;
+  }
+  rank_beam({-1.0f, 0.0f, -1.0f, -0.5f}, 4, keys, scratch);
+  EXPECT_EQ(keys.size(), 4u);
+  rank_beam({-1.0f, 0.0f, -1.0f, -0.5f}, 0, keys, scratch);
+  EXPECT_TRUE(keys.empty());
 }
 
 TEST(ExpandKernelParity, FuzzWindowScoresAndTrajectoriesAcrossSeedsAndLags) {
