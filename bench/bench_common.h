@@ -68,6 +68,25 @@ inline void record_metric(const std::string& key, double value) {
   recorded_metrics().emplace_back(key, value);
 }
 
+/// Run context recorded for the JSON export: strings naming what the
+/// metrics were measured on (insertion-ordered; re-recording overwrites).
+inline std::vector<std::pair<std::string, std::string>>& recorded_context() {
+  static std::vector<std::pair<std::string, std::string>> context;
+  return context;
+}
+
+/// Records (or overwrites) one context string, e.g. the build of a kernel
+/// the experiment ran.
+inline void record_context(const std::string& key, const std::string& value) {
+  for (auto& [k, v] : recorded_context()) {
+    if (k == key) {
+      v = value;
+      return;
+    }
+  }
+  recorded_context().emplace_back(key, value);
+}
+
 /// Worker threads for the batch trial API: POLARDRAW_THREADS when set,
 /// otherwise all hardware threads. Trial results are bit-identical at any
 /// value; this only changes wall-clock time.
@@ -258,6 +277,12 @@ class Session {
     w.kv("reps_scale", reps_scale());
     w.kv("threads", n_threads());
     w.end_object();
+    if (!recorded_context().empty()) {
+      w.key("context");
+      w.begin_object();
+      for (const auto& [k, v] : recorded_context()) w.kv(k, v);
+      w.end_object();
+    }
     w.key("metrics");
     w.begin_object();
     for (const auto& [k, v] : recorded_metrics()) w.kv(k, v);

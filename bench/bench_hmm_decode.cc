@@ -14,6 +14,7 @@
 
 #include "bench_common.h"
 #include "core/decode_testbed.h"
+#include "core/expand_kernel.h"
 #include "core/hmm_tracker.h"
 #include "core/kalman_tracker.h"
 #include "core/particle_tracker.h"
@@ -103,12 +104,14 @@ void run_experiment(bool smoke) {
   const double elapsed = watch.seconds();
   const double windows_per_s =
       elapsed > 0.0 ? static_cast<double>(reps) * n / elapsed : 0.0;
-  std::cout << "HMM decode (default board): " << reps << " x " << n
-            << " windows (" << sink << " states) in " << fmt(elapsed, 3)
-            << " s = " << fmt(windows_per_s, 0) << " windows/s.\n";
+  std::cout << "HMM decode (default board, " << chosen_row_kernel().name
+            << " row kernel): " << reps << " x " << n << " windows (" << sink
+            << " states) in " << fmt(elapsed, 3) << " s = "
+            << fmt(windows_per_s, 0) << " windows/s.\n";
   bench::record_metric("windows", static_cast<double>(n));
   bench::record_metric("decode_reps", reps);
   bench::record_metric("windows_per_s", windows_per_s);
+  bench::record_context("row_kernel", chosen_row_kernel().name);
 }
 
 }  // namespace

@@ -12,11 +12,13 @@
 #include "common/angles.h"
 #include "common/rng.h"
 #include "core/decode_testbed.h"
+#include "core/expand_kernel.h"
 #include "core/hmm_tracker.h"
 #include "core/polardraw.h"
 #include "core/streaming_decoder.h"
 #include "eval/harness.h"
 #include "handwriting/synthesizer.h"
+#include "obs/metrics.h"
 #include "recognition/dtw.h"
 #include "recognition/procrustes.h"
 #include "sim/scene.h"
@@ -103,14 +105,34 @@ BENCHMARK(BM_FullTrack);
 static void BM_ExpandKernelDecode(benchmark::State& state) {
   // The beam-expansion kernel (core/expand_kernel.h) on the seeded decode
   // testbed over the default board -- the Eq. 8/11 candidate-scoring loop
-  // that dominates BM_HmmDecode, plus its prune.
+  // that dominates BM_HmmDecode, plus its prune. lanes_per_s counts the
+  // (beam parent, displacement) lanes the kernel scores or rejects; the
+  // label names the row-kernel build that ran.
   const core::PolarDrawConfig cfg;
   const auto tb = core::make_decode_testbed(cfg, 100, 42);
   const core::HmmTracker hmm(cfg, tb.a1, tb.a2, tb.antenna_z);
+  // One decode's lanes, from the decoder's hmm.* counters (a delta, so
+  // whatever the registry already holds is left alone).
+  obs::Registry& registry = obs::Registry::global();
+  const bool was_enabled = registry.enabled();
+  registry.set_enabled(true);
+  const obs::Snapshot before = registry.snapshot();
+  benchmark::DoNotOptimize(hmm.decode(tb.obs, &tb.start).size());
+  const obs::Snapshot after = registry.snapshot();
+  registry.set_enabled(was_enabled);
+  const auto delta = [&](const char* name) {
+    return after.counter(name) - before.counter(name);
+  };
+  const std::uint64_t lanes =
+      delta("hmm.beam_expansions") + delta("hmm.annulus_rejected");
   for (auto _ : state) {
     benchmark::DoNotOptimize(hmm.decode(tb.obs, &tb.start).size());
   }
   state.SetItemsProcessed(state.iterations() * 100);
+  state.counters["lanes_per_s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * static_cast<double>(lanes),
+      benchmark::Counter::kIsRate);
+  state.SetLabel(std::string("row kernel: ") + core::chosen_row_kernel().name);
 }
 BENCHMARK(BM_ExpandKernelDecode)->Unit(benchmark::kMillisecond);
 

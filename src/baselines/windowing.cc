@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <map>
 
 #include "common/angles.h"
+#include "obs/metrics.h"
 
 namespace polardraw::baselines {
 
@@ -17,32 +19,48 @@ std::vector<MultiWindow> window_reports(
 
   // A report with an out-of-range antenna or a non-finite field is dropped
   // exactly as if it had never been read: it neither anchors t0 nor lands
-  // in a window.
-  const auto usable = [num_ports](const rfid::TagReport& r) {
-    return r.antenna_id >= 0 && r.antenna_id < num_ports &&
-           std::isfinite(r.timestamp_s) && std::isfinite(r.phase_rad) &&
-           std::isfinite(r.rss_dbm);
+  // in a window. Every dropped report is counted by reason.
+  enum Reason { kAntenna, kNonFinite, kWindowIndex, kBeforeStart, kUsable };
+  const auto classify = [num_ports](const rfid::TagReport& r) {
+    if (r.antenna_id < 0 || r.antenna_id >= num_ports) return kAntenna;
+    if (!std::isfinite(r.timestamp_s) || !std::isfinite(r.phase_rad) ||
+        !std::isfinite(r.rss_dbm)) {
+      return kNonFinite;
+    }
+    return kUsable;
   };
-  const auto first = std::find_if(reports.begin(), reports.end(), usable);
-  if (first == reports.end()) return out;
-  const double t0 = first->timestamp_s;
+  std::uint64_t rejected[kUsable] = {};
+  const auto first =
+      std::find_if(reports.begin(), reports.end(),
+                   [&](const auto& r) { return classify(r) == kUsable; });
+  const double t0 = first == reports.end() ? 0.0 : first->timestamp_s;
   struct Acc {
     std::vector<std::vector<double>> phase;
     std::vector<std::vector<double>> rss;
   };
   std::map<int, Acc> buckets;
   for (const auto& r : reports) {
-    if (!usable(r)) continue;
+    const Reason reason = classify(r);
+    if (reason != kUsable) {
+      ++rejected[reason];
+      continue;
+    }
     // The index is truncated in double first: a finite but huge timestamp
     // would overflow the int conversion. A report whose index does not fit
     // is dropped; it is never the first one (which has index 0), so this
-    // equals deleting it.
+    // equals deleting it. So is a report timestamped before the first one,
+    // whose window would precede window 0.
     const double wd = std::trunc((r.timestamp_s - t0) / window_s);
     if (!(wd >= static_cast<double>(std::numeric_limits<int>::min()) &&
           wd <= static_cast<double>(std::numeric_limits<int>::max()))) {
+      ++rejected[kWindowIndex];
       continue;
     }
     const int w = static_cast<int>(wd);
+    if (w < 0) {
+      ++rejected[kBeforeStart];
+      continue;
+    }
     auto& acc = buckets[w];
     if (acc.phase.empty()) {
       acc.phase.resize(static_cast<std::size_t>(num_ports));
@@ -56,6 +74,12 @@ std::vector<MultiWindow> window_reports(
     acc.phase[r.antenna_id].push_back(phase);
     acc.rss[r.antenna_id].push_back(r.rss_dbm);
   }
+  static const obs::Counter rejected_counters[kUsable] = {
+      obs::Counter("baselines.rejected_reports.antenna"),
+      obs::Counter("baselines.rejected_reports.non_finite"),
+      obs::Counter("baselines.rejected_reports.window_index"),
+      obs::Counter("baselines.rejected_reports.before_start")};
+  for (int i = 0; i < kUsable; ++i) rejected_counters[i].add(rejected[i]);
   if (buckets.empty()) return out;
 
   const int last = buckets.rbegin()->first;

@@ -29,9 +29,12 @@ struct MultiWindow {
 /// Aggregates a report stream into windows of `window_s` seconds across
 /// `num_ports` antenna ports. Optional per-port phase offsets (calibration)
 /// are subtracted before unwrapping. Reports with an antenna id outside
-/// [0, num_ports), a non-finite timestamp, phase or RSS, or a window index
-/// that does not fit in an int are dropped, with the same result as
-/// deleting them from the stream; windows count from the first report kept.
+/// [0, num_ports), a non-finite timestamp, phase or RSS, a window index
+/// that does not fit in an int, or a timestamp before the first kept
+/// report's window are dropped, with the same result as deleting them from
+/// the stream; windows count from the first report kept. Drops are counted
+/// in the metrics registry as baselines.rejected_reports.{antenna,
+/// non_finite,window_index,before_start}.
 std::vector<MultiWindow> window_reports(
     const rfid::TagReportStream& reports, int num_ports, double window_s,
     const std::vector<double>* port_offsets = nullptr);

@@ -13,11 +13,110 @@ namespace {
 constexpr double kWeightFloor = 1e-6;  // keeps log-probabilities finite
 const double kLogWeightFloor = std::log(kWeightFloor);
 const double kLogQuarter = std::log(0.25);
-constexpr std::uint32_t kNoParent = 0xFFFFFFFFu;
+
+// The row kernel body, written once and compiled into each build below.
+// Every lane runs the same straight-line code: a masked lane (a hole, or a
+// knife-edge lane outside the annulus) merges key 0 and kNoParent, which
+// leave the destination unchanged. The scalar reference's arithmetic is
+// kept operand for operand -- the same double sum and float rounding as
+// ExpandKernel::merge, the same center-difference sqrt and comparisons as
+// ExpandKernel::exact_annulus -- and vector add, sqrt and conversion round
+// exactly like their scalar forms, so every build merges identical bits.
+// The sqrt vectorizes only without errno (expand_kernel.cc is compiled with
+// -fno-math-errno; errno is never read).
+template <bool kKnife>
+__attribute__((always_inline)) inline std::uint32_t merge_row_body(
+    const double* __restrict__ plp, const std::uint32_t* __restrict__ parent,
+    const double* __restrict__ hyper, std::uint64_t* __restrict__ key,
+    std::uint32_t* __restrict__ first, std::size_t n, double disp_logw,
+    const double* __restrict__ cx_src, const double* __restrict__ cx_dst,
+    double ddy, double out_thresh_m, double quarter_block_m,
+    double lower_m) {
+  const double log_floor = kLogWeightFloor;
+  std::uint32_t merged = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    const std::uint32_t p = parent[j];
+    bool live = p != kNoParent;
+    if constexpr (kKnife) {
+      const double ddx = cx_src[j] - cx_dst[j];
+      const double step_m = std::sqrt(ddx * ddx + ddy * ddy);
+      live = live & !(step_m > out_thresh_m) &
+             !(step_m + quarter_block_m < lower_m);
+    }
+    const float lp =
+        static_cast<float>(plp[j] + std::max(hyper[j] + disp_logw, log_floor));
+    const std::uint64_t k =
+        (std::uint64_t{ordered_float_bits(lp)} << 32) | (kNoParent - p);
+    // An all-ones mask for a live lane; applied arithmetically so the lane
+    // stays straight-line code the vectorizer accepts.
+    const std::uint64_t mask = 0 - static_cast<std::uint64_t>(live);
+    key[j] = std::max(key[j], k & mask);
+    first[j] = std::min(first[j], p | ~static_cast<std::uint32_t>(mask));
+    merged += static_cast<std::uint32_t>(live);
+  }
+  return merged;
+}
+
+__attribute__((always_inline)) inline std::uint32_t merge_row_lanes(
+    const MergeRow& r, const KnifeEdge* k) {
+  if (k != nullptr) {
+    return merge_row_body<true>(r.plp, r.parent, r.hyper, r.key, r.first, r.n,
+                                r.disp_logw, k->cx_src, k->cx_dst, k->ddy,
+                                k->out_thresh_m, k->quarter_block_m,
+                                k->lower_m);
+  }
+  return merge_row_body<false>(r.plp, r.parent, r.hyper, r.key, r.first, r.n,
+                               r.disp_logw, nullptr, nullptr, 0.0, 0.0, 0.0,
+                               0.0);
+}
+
+std::uint32_t merge_row_portable(const MergeRow& row, const KnifeEdge* knife) {
+  return merge_row_lanes(row, knife);
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+// The AVX2 build. GCC vectorizes nothing at -O2 here, so the build also
+// enables -O3 for this function (clang vectorizes at -O2 and has no
+// optimize attribute). No -march: the portable build stays runnable on any
+// x86 CPU, and chosen_row_kernel() picks this build at run time.
+#if defined(__clang__)
+__attribute__((target("avx2")))
+#else
+__attribute__((target("avx2"), optimize("O3")))
+#endif
+std::uint32_t merge_row_avx2(const MergeRow& row, const KnifeEdge* knife) {
+  return merge_row_lanes(row, knife);
+}
+
+bool cpu_has_avx2() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx2");
+}
+#endif
 }  // namespace
 
+RowKernel portable_row_kernel() { return {"portable", &merge_row_portable}; }
+
+RowKernel avx2_row_kernel() {
+#if defined(__x86_64__) || defined(__i386__)
+  static const bool supported = cpu_has_avx2();
+  return {"avx2", supported ? &merge_row_avx2 : nullptr};
+#else
+  return {"avx2", nullptr};
+#endif
+}
+
+RowKernel chosen_row_kernel() {
+  const RowKernel avx2 = avx2_row_kernel();
+  return avx2.fn != nullptr ? avx2 : portable_row_kernel();
+}
+
 ExpandKernel::ExpandKernel(const PolarDrawConfig& cfg, const PhaseField& field)
-    : cfg_(cfg), field_(field), cols_(field.cols()), rows_(field.rows()) {}
+    : cfg_(cfg),
+      field_(field),
+      cols_(field.cols()),
+      rows_(field.rows()),
+      merge_row_(chosen_row_kernel().fn) {}
 
 ExpandKernel::WindowTerms ExpandKernel::window_terms(
     const TrackObservation& o) const {
@@ -156,27 +255,43 @@ bool ExpandKernel::fill_box(const WindowTerms& w,
   constexpr int kFar = 1 << 29;
   row_cmin_.assign(static_cast<std::size_t>(box_h_), kFar);
   row_cmax_.assign(static_cast<std::size_t>(box_h_), -kFar);
-  in_box_.clear();
-  in_logp_.clear();
-  in_parent_.clear();
+  dense_cmin_.assign(static_cast<std::size_t>(box_h_), kFar);
+  dense_cmax_.assign(static_cast<std::size_t>(box_h_), -kFar);
+  dense_par_.assign(box, kNoParent);
+  dense_lp_.resize(box);  // a hole's value is read, but its lane is masked
+  n_dense_ = 0;
   edge_parent_.clear();
 
-  // Row extents, and the interior/edge split: an interior parent's whole
-  // reach lies on the board.
+  // Row extents, and the dense/edge split: an interior parent's whole
+  // reach lies on the board. The dense rows hold one parent per cell; a
+  // second parent on a taken cell (the kernel API allows duplicate cells)
+  // takes the exact walk with the edge parents.
   for (std::size_t p = 0; p < n_par; ++p) {
     const int pr = par_r_[p];
     const int pc = par_c_[p];
     const auto br = static_cast<std::size_t>(pr - box_r0_);
     row_cmin_[br] = std::min(row_cmin_[br], pc);
     row_cmax_[br] = std::max(row_cmax_[br], pc);
+    const auto b = br * static_cast<std::size_t>(box_w_) +
+                   static_cast<std::size_t>(pc - box_c0_);
     if (pr >= reach && pr + reach < rows_ && pc >= lim0 &&
-        pc + lim0 < cols_) {
-      in_box_.push_back((pr - box_r0_) * box_w_ + (pc - box_c0_));
-      in_logp_.push_back(static_cast<double>(logp[prev_begin + p]));
-      in_parent_.push_back(static_cast<std::uint32_t>(p));
+        pc + lim0 < cols_ && dense_par_[b] == kNoParent) {
+      dense_par_[b] = static_cast<std::uint32_t>(p);
+      dense_lp_[b] = static_cast<double>(logp[prev_begin + p]);
+      dense_cmin_[br] = std::min(dense_cmin_[br], pc);
+      dense_cmax_[br] = std::max(dense_cmax_[br], pc);
+      ++n_dense_;
     } else {
       edge_parent_.push_back(static_cast<std::uint32_t>(p));
     }
+  }
+  segments_.clear();
+  for (int br = 0; br < box_h_; ++br) {
+    const auto i = static_cast<std::size_t>(br);
+    if (dense_cmin_[i] > dense_cmax_[i]) continue;
+    segments_.push_back(
+        {br, dense_cmin_[i] - box_c0_,
+         static_cast<std::size_t>(dense_cmax_[i] - dense_cmin_[i]) + 1});
   }
 
   // Per-row column spans touched by the beam (bounding the hyperbola
@@ -268,38 +383,46 @@ void ExpandKernel::expand(const TrackObservation& o,
   fill_displacement_table(w);
   const int reach = w.reach_blocks;
   const std::size_t t = 2 * static_cast<std::size_t>(reach) + 1;
-  const std::size_t n_in = in_box_.size();
+  const double* const cx = field_.centers_x() + box_c0_;
 
-  // Interior parents, displacement-major: one contiguous pass per lattice
-  // displacement, and a rejected displacement costs one add.
+  // Dense parents, displacement-major: each box row's parent extent runs
+  // through the row kernel as one segment src -> src + off, and a rejected
+  // displacement costs one add. Every lane a segment reads lies in its
+  // destination row's hyperbola span (DESIGN.md section 14).
   for (int dr = -reach; dr <= reach; ++dr) {
     const int lim = dc_lim_[static_cast<std::size_t>(dr < 0 ? -dr : dr)];
     for (int dc = -lim; dc <= lim; ++dc) {
       const std::size_t d = static_cast<std::size_t>(dr + reach) * t +
                             static_cast<std::size_t>(dc + reach);
-      const int off = dr * box_w_ + dc;
-      const double dlogw = disp_logw_[d];
       if (disp_verdict_[d] == kRejected) {
-        stats.annulus_rejected += n_in;
-      } else if (disp_verdict_[d] == kValid) {
-        stats.expansions += n_in;
-        for (std::size_t i = 0; i < n_in; ++i) {
-          merge(static_cast<std::size_t>(in_box_[i] + off), in_logp_[i],
-                dlogw, in_parent_[i]);
-        }
-      } else {
-        for (std::size_t i = 0; i < n_in; ++i) {
-          const int pr = box_r0_ + in_box_[i] / box_w_;
-          const int pc = box_c0_ + in_box_[i] % box_w_;
-          if (!exact_annulus(w, pr, pc, pr + dr, pc + dc)) {
-            ++stats.annulus_rejected;
-            continue;
-          }
-          ++stats.expansions;
-          merge(static_cast<std::size_t>(in_box_[i] + off), in_logp_[i],
-                dlogw, in_parent_[i]);
+        stats.annulus_rejected += n_dense_;
+        continue;
+      }
+      const bool knife = disp_verdict_[d] == kKnifeEdge;
+      std::uint64_t merged = 0;
+      for (const Segment& seg : segments_) {
+        const auto src = static_cast<std::size_t>(seg.row * box_w_ + seg.col);
+        const auto dst = static_cast<std::size_t>(
+            (seg.row + dr) * box_w_ + seg.col + dc);
+        const MergeRow row{&dense_lp_[src],   &dense_par_[src],
+                           &hyper_logw_[dst], &box_key_[dst],
+                           &box_first_[dst],  seg.len,
+                           disp_logw_[d]};
+        if (knife) {
+          const int pr = box_r0_ + seg.row;
+          const KnifeEdge mask{cx + seg.col,
+                               cx + seg.col + dc,
+                               field_.center_y(pr) - field_.center_y(pr + dr),
+                               w.out_thresh_m,
+                               w.quarter_block_m,
+                               w.lower_m};
+          merged += merge_row_(row, &mask);
+        } else {
+          merged += merge_row_(row, nullptr);
         }
       }
+      stats.expansions += merged;
+      stats.annulus_rejected += n_dense_ - merged;
     }
   }
 

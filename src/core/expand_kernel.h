@@ -13,16 +13,23 @@
 // integer block displacement (dc, dr), so it collapses into a
 // (2*reach+1)^2 log-weight table with a per-displacement verdict.
 //
-// The sweep is displacement-major: for each (dr, dc) it scores every
-// interior beam parent (whose whole reach lies on the board) in one
-// contiguous pass, and skips displacements the table rejects outright.
-// Edge parents and knife-edge displacements (lattice distance on an
-// annulus threshold) take an exact per-lane path. Lanes merge into a dense
-// box of packed uint64 keys, (ordered logp bits << 32) | ~parent, whose
-// max is the best-per-cell rule "strictly greater wins, ties go to the
-// earliest parent" in any visiting order; a counting sort on each cell's
-// first-touch parent then emits candidates in the historical first-touch
-// order (ascending parent, then row, then column).
+// The sweep is displacement-major over a dense box layout: interior beam
+// parents (whose whole reach lies on the board) are scattered into box-sized
+// log-prob and parent-offset rows, and each lattice displacement runs every
+// box row's parent extent as one contiguous segment through a single row
+// kernel. Displacements the table rejects are skipped outright; knife-edge
+// displacements (lattice distance on an annulus threshold) feed the same
+// kernel with the exact per-lane annulus mask. Edge parents, and a parent
+// whose cell another parent already holds in the dense rows, take an exact
+// per-lane walk. Lanes merge into a dense box of packed uint64 keys,
+// (ordered logp bits << 32) | ~parent, whose max is the best-per-cell rule
+// "strictly greater wins, ties go to the earliest parent" in any visiting
+// order; a counting sort on each cell's first-touch parent then emits
+// candidates in the historical first-touch order (ascending parent, then
+// row, then column).
+//
+// The row kernel is compiled twice, as an AVX2 build and a portable build;
+// the AVX2 build runs whenever the CPU supports it (DESIGN.md section 14).
 //
 // Tolerance (enforced against the scalar reference oracle in
 // tests/core/expand_oracle.h): the candidate cells, parents, order and
@@ -56,6 +63,58 @@ inline std::uint32_t ordered_float_bits(float f) {
 inline float float_from_ordered_bits(std::uint32_t o) {
   return std::bit_cast<float>(o ^ (((o >> 31) - 1u) | 0x80000000u));
 }
+
+/// A hole lane in a parent-offset row, and a box cell no parent reached.
+inline constexpr std::uint32_t kNoParent = 0xFFFFFFFFu;
+
+/// One contiguous row segment of the interior sweep. Lane j scores the
+/// parent slot (plp[j], parent[j]) into the destination slot (hyper[j],
+/// key[j], first[j]) with the displacement log-weight `disp_logw`:
+/// key[j] = max(key[j], packed key) and first[j] = min(first[j],
+/// parent[j]), the per-cell merge of ExpandKernel. A hole lane (parent[j]
+/// == kNoParent) leaves its destination unchanged.
+struct MergeRow {
+  const double* plp = nullptr;
+  const std::uint32_t* parent = nullptr;
+  const double* hyper = nullptr;
+  std::uint64_t* key = nullptr;
+  std::uint32_t* first = nullptr;
+  std::size_t n = 0;
+  double disp_logw = 0.0;
+};
+
+/// Exact annulus mask of a knife-edge displacement: lane j merges only if
+/// step = sqrt(ddx * ddx + ddy * ddy), with ddx = cx_src[j] - cx_dst[j],
+/// passes !(step > out_thresh_m) && !(step + quarter_block_m < lower_m) --
+/// the scalar reference's center-difference test, operand for operand.
+struct KnifeEdge {
+  const double* cx_src = nullptr;
+  const double* cx_dst = nullptr;
+  double ddy = 0.0;
+  double out_thresh_m = 0.0;
+  double quarter_block_m = 0.0;
+  double lower_m = 0.0;
+};
+
+/// One build of the row kernel: merges `row`, masked by `knife` when it is
+/// not null, and returns the number of lanes merged.
+using MergeRowFn = std::uint32_t (*)(const MergeRow& row,
+                                     const KnifeEdge* knife);
+
+/// A named build of the row kernel.
+struct RowKernel {
+  const char* name = nullptr;
+  MergeRowFn fn = nullptr;
+};
+
+/// The portable build, which runs on any CPU.
+RowKernel portable_row_kernel();
+/// The AVX2 build; `fn` is null when this binary has no AVX2 build or the
+/// CPU cannot run it.
+RowKernel avx2_row_kernel();
+/// The build ExpandKernel runs: AVX2 when available, else portable. Chosen
+/// once per process from the CPU.
+RowKernel chosen_row_kernel();
 
 /// Hot-loop tallies, accumulated across windows by the caller.
 struct ExpandStats {
@@ -108,8 +167,9 @@ class ExpandKernel {
   /// idle terms) and its annulus verdicts.
   void fill_displacement_table(const WindowTerms& w);
   /// Sizes the reachable box, evaluates the hyperbola log-weight over the
-  /// union of per-row column spans touched by the beam, and splits the
-  /// beam into interior and edge parents. Returns false for an empty beam.
+  /// union of per-row column spans touched by the beam, scatters interior
+  /// parents into the dense rows and lists the rest as edge parents.
+  /// Returns false for an empty beam.
   bool fill_box(const WindowTerms& w, const std::vector<std::int32_t>& cells,
                 const std::vector<float>& logp, std::size_t prev_begin,
                 std::size_t prev_end, ExpandStats& stats);
@@ -123,6 +183,7 @@ class ExpandKernel {
   const PolarDrawConfig cfg_;
   const PhaseField& field_;
   const int cols_, rows_;
+  const MergeRowFn merge_row_;
 
   std::vector<int> dc_lim_;             // per-|dr| column reach
   std::vector<double> disp_logw_;       // (2r+1)^2 displacement log-weights
@@ -136,11 +197,20 @@ class ExpandKernel {
   std::vector<double> hyper_logw_;          // per-cell hyperbola log-weight
   std::vector<std::uint64_t> box_key_;      // packed best key, 0 = empty
   std::vector<std::uint32_t> box_first_;    // first-touch parent offset
-  // Interior parents (SoA): box index, log-prob and parent offset.
-  std::vector<std::int32_t> in_box_;
-  std::vector<double> in_logp_;
-  std::vector<std::uint32_t> in_parent_;
-  std::vector<std::uint32_t> edge_parent_;  // parents clipped by the board
+  // Dense parent rows (box-sized; a hole holds kNoParent), the column
+  // extent of each box row's dense parents, and one segment per box row
+  // that holds any.
+  std::vector<double> dense_lp_;
+  std::vector<std::uint32_t> dense_par_;
+  std::vector<int> dense_cmin_, dense_cmax_;
+  struct Segment {
+    int row, col;  // box row and column of the first lane
+    std::size_t len;
+  };
+  std::vector<Segment> segments_;
+  std::size_t n_dense_ = 0;
+  // Parents clipped by the board, or whose cell the dense rows already hold.
+  std::vector<std::uint32_t> edge_parent_;
   std::vector<std::uint32_t> bucket_;       // counting-sort offsets
 };
 

@@ -48,6 +48,8 @@ class PhaseField {
   }
   double center_x(int col) const { return cx_[static_cast<std::size_t>(col)]; }
   double center_y(int row) const { return cy_[static_cast<std::size_t>(row)]; }
+  /// The cols() column-center x coordinates, contiguous.
+  const double* centers_x() const { return cx_.data(); }
 
   /// Expected wrapped phase difference at a block center; bit-identical to
   /// DistanceEstimator::expected_dtheta21(block_center(col, row), ...).

@@ -11,6 +11,7 @@
 #include <string>
 
 #include "eval/harness.h"
+#include "obs/metrics.h"
 
 namespace polardraw::eval {
 namespace {
@@ -63,6 +64,39 @@ TEST(BaselineGolden, RfIdraw4TrajectoriesBitIdentical) {
   const Golden g = hash_trials(System::kRfIdraw4);
   EXPECT_EQ(g.points, 1721u);
   EXPECT_EQ(g.hash, 0x942df3d3df45b7b9ULL);
+}
+
+// The baselines' report-rejection counters (baselines/windowing.h) only
+// record: a trial decodes to the same bits with the registry on and off.
+TEST(BaselineGolden, TrajectoriesBitIdenticalWithMetricsOnAndOff) {
+  obs::Registry& registry = obs::Registry::global();
+  for (const System system : {System::kTagoram4, System::kRfIdraw4}) {
+    TrialConfig cfg;
+    cfg.system = system;
+    cfg.seed = trial_seed(20161012, 0);
+    registry.set_enabled(true);
+    registry.reset();
+    const TrialResult on = run_trial(test_word(2, 0), cfg);
+    const obs::Snapshot snap = registry.snapshot();
+    registry.reset();
+    registry.set_enabled(false);
+    const TrialResult off = run_trial(test_word(2, 0), cfg);
+    // A clean simulated stream drops nothing.
+    for (const char* reason :
+         {"antenna", "non_finite", "window_index", "before_start"}) {
+      EXPECT_EQ(snap.counter(std::string("baselines.rejected_reports.") +
+                             reason),
+                0u)
+          << reason;
+    }
+    ASSERT_EQ(on.trajectory.size(), off.trajectory.size());
+    for (std::size_t i = 0; i < on.trajectory.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(on.trajectory[i].x),
+                std::bit_cast<std::uint64_t>(off.trajectory[i].x));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(on.trajectory[i].y),
+                std::bit_cast<std::uint64_t>(off.trajectory[i].y));
+    }
+  }
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "baselines/windowing.h"
 #include "common/angles.h"
 #include "common/rng.h"
+#include "obs/metrics.h"
 
 namespace polardraw::baselines {
 namespace {
@@ -164,6 +165,43 @@ TEST(Windowing, AllReportsUnusableGivesNoWindows) {
   rfid::TagReport r = report(0.0, 0, 1.0);
   r.phase_rad = std::numeric_limits<double>::quiet_NaN();
   EXPECT_TRUE(window_reports({r, report(0.01, 5, 1.0)}, 2, 0.05).empty());
+}
+
+TEST(Windowing, RejectedReportsCountedByReason) {
+  // Each dropped report lands in exactly one reason's counter; a report
+  // with several faults counts under the first check it fails (antenna,
+  // then non-finite fields).
+  obs::Registry& registry = obs::Registry::global();
+  registry.set_enabled(true);
+  registry.reset();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  rfid::TagReportStream reports{
+      report(0.0, 5, 1.0),           // antenna, before the first kept one
+      report(nan, 0, 1.0),           // non-finite, before the first kept one
+      report(0.10, 0, 1.0),          // first kept report: t0
+      report(0.12, 1, 1.1),
+      report(0.13, -1, 1.2),         // antenna
+      report(0.14, 2, nan),          // antenna (also non-finite)
+      report(0.15, 0, inf),          // non-finite phase
+      report(0.16, 1, 1.3, nan),     // non-finite RSS
+      report(1e12, 0, 1.4),          // window index past int
+      report(0.04, 1, 1.5),          // before the first kept report
+      report(0.099, 0, 1.6),         // before it, but truncates to window 0
+      report(0.20, 1, 1.7)};
+  const auto windows = window_reports(reports, 2, 0.05);
+  const obs::Snapshot snap = registry.snapshot();
+  registry.reset();
+  registry.set_enabled(false);
+  EXPECT_EQ(snap.counter("baselines.rejected_reports.antenna"), 3u);
+  EXPECT_EQ(snap.counter("baselines.rejected_reports.non_finite"), 3u);
+  EXPECT_EQ(snap.counter("baselines.rejected_reports.window_index"), 1u);
+  EXPECT_EQ(snap.counter("baselines.rejected_reports.before_start"), 1u);
+  // Kept: t = 0.099, 0.10, 0.12 (window 0) and 0.20 (window 2).
+  ASSERT_EQ(windows.size(), 3u);
+  EXPECT_TRUE(windows[0].all_phase_valid());
+  EXPECT_FALSE(windows[1].phase_valid[0] || windows[1].phase_valid[1]);
+  EXPECT_TRUE(windows[2].phase_valid[1]);
 }
 
 TEST(Windowing, AdjacentPhaseDeltasSkipReadGaps) {

@@ -391,6 +391,185 @@ TEST(ExpandKernelParity, HyperCellsEqualBruteForceSpanUnion) {
   }
 }
 
+TEST(ExpandKernelParity, DuplicateCellsSpillToTheExactWalk) {
+  // The dense rows hold one parent per cell; a second beam node on a taken
+  // interior cell takes the exact per-lane walk. Whether the later node
+  // scores above, equal to or below the first, the merge must match the
+  // oracle (a tie keeps the earlier parent).
+  const PolarDrawConfig cfg;
+  const auto tb = make_decode_testbed(cfg, 3, 21);
+  const PhaseField field(cfg, tb.a1, tb.a2, tb.antenna_z);
+  const int r = field.rows() / 2, c = field.cols() / 2;
+  Beam beam;
+  beam.add(field, r, c, -1.0f);
+  beam.add(field, r, c + 1, -0.5f);
+  beam.add(field, r, c, -0.25f);  // better than its twin
+  beam.add(field, r, c + 1, -0.5f);  // ties its twin
+  beam.add(field, r + 1, c, -2.0f);
+  beam.add(field, r + 1, c, -3.0f);  // worse than its twin
+  for (const TrackObservation& o : tb.obs) {
+    const Expansion k = expect_kernel_matches_oracle(cfg, field, o, beam);
+    EXPECT_FALSE(k.cell.empty());
+    for (const std::int32_t p : k.parent) {
+      EXPECT_NE(p, 3);  // never wins: it only ever ties parent 1
+      EXPECT_NE(p, 5);  // never wins: parent 4 beats it on every lane
+    }
+  }
+}
+
+/// One row-kernel input: parent slots, destination slots and an optional
+/// knife-edge mask, all owned here.
+struct RowCase {
+  std::vector<double> plp, hyper, cx_src, cx_dst;
+  std::vector<std::uint32_t> parent, first;
+  std::vector<std::uint64_t> key;
+  double disp_logw = 0.0;
+  KnifeEdge knife;
+
+  /// Runs `kernel` on a copy of the destination rows.
+  std::uint32_t run(MergeRowFn kernel, bool masked,
+                    std::vector<std::uint64_t>& key_out,
+                    std::vector<std::uint32_t>& first_out) const {
+    key_out = key;
+    first_out = first;
+    const MergeRow row{plp.data(),     parent.data(),    hyper.data(),
+                       key_out.data(), first_out.data(), plp.size(),
+                       disp_logw};
+    KnifeEdge k = knife;
+    k.cx_src = cx_src.data();
+    k.cx_dst = cx_dst.data();
+    return kernel(row, masked ? &k : nullptr);
+  }
+};
+
+constexpr std::uint64_t kRowCases = 7;
+/// Lane cases the knife-edge mask rejects.
+bool knife_rejects(std::uint64_t lane_case) {
+  return lane_case == 4 || lane_case == 5;
+}
+
+/// A crafted row of `n` lanes cycling through the hard cases: a hole with
+/// a NaN log-prob, +0.0 and -0.0 scores, a score equal to another
+/// parent's already in the destination, and knife-edge steps exactly on
+/// both thresholds and just past each.
+RowCase crafted_row(std::size_t n, std::uint64_t seed) {
+  RowCase rc;
+  rc.disp_logw = -0.0;
+  // |(3, 4)| = 5 exactly: on the outer threshold, and on the inner one
+  // once the quarter block is added (5 + 0.25 == 5.25).
+  rc.knife.ddy = 4.0;
+  rc.knife.out_thresh_m = 5.0;
+  rc.knife.quarter_block_m = 0.25;
+  rc.knife.lower_m = 5.25;
+  Rng rng(seed);
+  // The nearest column offsets whose step lands past either threshold.
+  const auto step = [](double ddx) { return std::sqrt(ddx * ddx + 16.0); };
+  const double on = 3.0;
+  double past_out = on, short_in = on;
+  while (!(step(past_out) > 5.0)) past_out = std::nextafter(past_out, 4.0);
+  while (!(step(short_in) + 0.25 < 5.25)) {
+    short_in = std::nextafter(short_in, 2.0);
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    double plp = -static_cast<double>(static_cast<float>(rng.uniform()));
+    double hyper = -rng.uniform();
+    auto parent = static_cast<std::uint32_t>(10 + j);
+    double ddx = on;
+    std::uint64_t key = 0;
+    std::uint32_t first = kNoParent;
+    switch ((j + seed) % kRowCases) {
+      case 0:  // hole
+        parent = kNoParent;
+        plp = std::numeric_limits<double>::quiet_NaN();
+        break;
+      case 1:  // +0.0 + +0.0
+        plp = 0.0;
+        hyper = 0.0;
+        break;
+      case 2:  // -0.0 + -0.0 -> -0.0f, which must key like +0.0f
+        plp = -0.0;
+        hyper = -0.0;
+        key = (std::uint64_t{ordered_float_bits(0.0f)} << 32) |
+              (kNoParent - 40u);
+        first = 40;
+        break;
+      case 3: {  // equal score already merged from an earlier parent
+        const float lp =
+            static_cast<float>(plp + std::max(hyper, std::log(1e-6)));
+        key = (std::uint64_t{ordered_float_bits(lp)} << 32) |
+              (kNoParent - 2u);
+        first = 2;
+        break;
+      }
+      case 4:  // just past the outer threshold
+        ddx = past_out;
+        break;
+      case 5:  // just short of the inner threshold
+        ddx = short_in;
+        break;
+      default:  // a later, better parent already merged
+        key = (std::uint64_t{ordered_float_bits(-2.0f)} << 32) |
+              (kNoParent - 50u);
+        first = 50;
+        break;
+    }
+    rc.plp.push_back(plp);
+    rc.hyper.push_back(hyper);
+    rc.parent.push_back(parent);
+    rc.key.push_back(key);
+    rc.first.push_back(first);
+    rc.cx_dst.push_back(1.0);
+    rc.cx_src.push_back(1.0 + ddx);
+  }
+  return rc;
+}
+
+TEST(RowKernel, Avx2AndPortableBuildsMergeIdentically) {
+  // The portable build against the lane rules, then the AVX2 build against
+  // the portable one, key for key, on every length that exercises a
+  // vector body and remainder.
+  const RowKernel portable = portable_row_kernel();
+  const RowKernel avx2 = avx2_row_kernel();
+  ASSERT_NE(portable.fn, nullptr);
+  EXPECT_STREQ(chosen_row_kernel().name,
+               avx2.fn != nullptr ? "avx2" : "portable");
+  std::vector<std::uint64_t> key_p, key_v;
+  std::vector<std::uint32_t> first_p, first_v;
+  for (std::size_t n = 0; n <= 9; ++n) {
+    for (std::uint64_t seed = 0; seed < kRowCases; ++seed) {
+      const RowCase rc = crafted_row(n, seed);
+      for (const bool masked : {false, true}) {
+        SCOPED_TRACE(testing::Message() << "n " << n << " seed " << seed
+                                        << " masked " << masked);
+        const std::uint32_t ok_p = rc.run(portable.fn, masked, key_p, first_p);
+        // Holes never merge, and under the knife-edge mask exactly the
+        // lanes past a threshold fail; a masked lane leaves its
+        // destination unchanged.
+        std::uint32_t want = 0;
+        for (std::size_t j = 0; j < n; ++j) {
+          const bool dead = rc.parent[j] == kNoParent ||
+                            (masked && knife_rejects((j + seed) % kRowCases));
+          want += dead ? 0u : 1u;
+          if (dead) {
+            EXPECT_EQ(key_p[j], rc.key[j]) << "masked lane " << j;
+            EXPECT_EQ(first_p[j], rc.first[j]) << "masked lane " << j;
+          }
+        }
+        EXPECT_EQ(ok_p, want);
+        if (avx2.fn == nullptr) continue;
+        const std::uint32_t ok_v = rc.run(avx2.fn, masked, key_v, first_v);
+        EXPECT_EQ(ok_v, ok_p);
+        EXPECT_EQ(key_v, key_p);
+        EXPECT_EQ(first_v, first_p);
+      }
+    }
+  }
+  if (avx2.fn == nullptr) {
+    GTEST_SKIP() << "AVX2 side not run: the CPU lacks AVX2 or the target is "
+                    "not x86, so this binary has no runnable AVX2 build";
+  }
+}
+
 /// rank_beam against the comparator oracle: the kept count, the kept
 /// indices in rank order, and each key's rank word.
 void expect_rank_matches_oracle(const std::vector<float>& logp,

@@ -159,6 +159,16 @@ TEST(BenchSchema, WrongTypesFail) {
   }
 }
 
+TEST(BenchSchema, OptionalContextHoldsStrings) {
+  Value v = parse_ok(valid_bench_doc());
+  v.object.emplace_back("context", parse_ok(R"({"row_kernel": "avx2"})"));
+  EXPECT_TRUE(validate_bench_json(v).empty());
+  v.object.back().second = parse_ok(R"({"row_kernel": 2})");
+  EXPECT_FALSE(validate_bench_json(v).empty());
+  v.object.back().second = parse_ok(R"(["avx2"])");
+  EXPECT_FALSE(validate_bench_json(v).empty());
+}
+
 TEST(BenchSchema, NegativeWallClockFails) {
   Value v = parse_ok(valid_bench_doc());
   for (auto& member : v.object) {

@@ -628,6 +628,65 @@ TEST(R9Mutex, Suppressed) {
 }
 
 // ---------------------------------------------------------------------------
+// R10: ISA containment
+// ---------------------------------------------------------------------------
+
+TEST(R10Isa, FiresOnTargetAndOptimizeAttributes) {
+  const auto vs = lint_source(
+      "src/core/other.cc",
+      "__attribute__((target(\"avx2\"))) int f();\n"
+      "__attribute__((target_clones(\"avx2\", \"default\"))) int g();\n"
+      "__attribute__((always_inline, __optimize__(\"O3\"))) int h();\n"
+      "[[gnu::target(\"avx2\")]] int k();\n");
+  ASSERT_EQ(count_rule(vs, "R10"), 4);
+  EXPECT_EQ(vs[0].line, 1);
+  EXPECT_EQ(vs[3].line, 4);
+}
+
+TEST(R10Isa, FiresOnPragmasAndIntrinsicsHeaders) {
+  const auto vs = lint_source("bench/foo.cc",
+                              "#pragma GCC push_options\n"
+                              "#pragma GCC target(\"avx2\")\n"
+                              "#  pragma GCC optimize(\"O3\")\n"
+                              "#include <immintrin.h>\n"
+                              "#include <x86intrin.h>\n"
+                              "#include <arm_neon.h>\n");
+  EXPECT_EQ(count_rule(vs, "R10"), 5);
+}
+
+TEST(R10Isa, SilentOnOrdinaryCodeAndInTheRowKernel) {
+  // Other attributes, a variable named `target`, a portable pragma and a
+  // standard header are not ISA code.
+  const std::string plain =
+      "#pragma once\n"
+      "#include <cmath>\n"
+      "__attribute__((always_inline)) inline int f(int target) {\n"
+      "  const int optimize = target + 1;\n"
+      "  return optimize;\n"
+      "}\n"
+      "[[gnu::always_inline]] inline void g(double* __restrict__ p);\n";
+  EXPECT_EQ(count_rule(lint_source("src/core/other.cc", plain), "R10"), 0);
+  const std::string isa =
+      "#include <immintrin.h>\n"
+      "__attribute__((target(\"avx2\"), optimize(\"O3\"))) int f();\n";
+  EXPECT_EQ(count_rule(lint_source("src/core/expand_kernel.cc", isa), "R10"),
+            0);
+  EXPECT_EQ(count_rule(lint_source("src/core/expand_kernel.h", isa), "R10"),
+            2);
+  EXPECT_EQ(count_rule(lint_source("tests/core/expand_kernel.cc", isa), "R10"),
+            2);
+}
+
+TEST(R10Isa, Suppressed) {
+  const auto vs = lint_source(
+      "src/foo.cc",
+      "// polarlint-allow(R10): vendor shim, compiled for one target only\n"
+      "__attribute__((target(\"avx2\"))) int f();\n");
+  EXPECT_EQ(count_rule(vs, "R10"), 0);
+  EXPECT_EQ(count_rule(vs, "DIRECTIVE"), 0);
+}
+
+// ---------------------------------------------------------------------------
 // Tokenizer / comment stripper
 // ---------------------------------------------------------------------------
 

@@ -302,6 +302,18 @@ std::vector<std::string> validate_bench_json(const Value& root) {
   }
 
   require_number_members(root.find("config"), "config", problems);
+  // Optional: strings naming what the numbers were measured on.
+  if (const Value* context = root.find("context"); context != nullptr) {
+    if (!context->is_object()) {
+      problems.emplace_back("context: not an object");
+    } else {
+      for (const auto& [k, v] : context->object) {
+        if (!v.is_string()) {
+          problems.push_back("context." + k + ": not a string");
+        }
+      }
+    }
+  }
   require_number_members(root.find("metrics"), "metrics", problems);
   require_number_members(root.find("counters"), "counters", problems);
   require_number_members(root.find("gauges"), "gauges", problems);

@@ -368,8 +368,8 @@ Directives parse_directives(std::string_view path,
         break;
       }
       const std::string rule = trim(c.substr(p + 1, close - p - 1));
-      const bool known = rule.size() == 2 && rule[0] == 'R' && rule[1] >= '1' &&
-                         rule[1] <= '9';
+      const bool known = rule == "R10" || (rule.size() == 2 && rule[0] == 'R' &&
+                                           rule[1] >= '1' && rule[1] <= '9');
       if (!known) {
         malformed("unknown rule '" + rule + "'");
         pos = close;
@@ -622,6 +622,9 @@ std::vector<Violation> lint_source(std::string_view path,
                          (path_has_component(path, "obs") ||
                           path_has_component(path, "bench") ||
                           path_ends_with(path, "common/thread_pool.h"));
+  // R10: the row kernel's source is the one place that builds code for a
+  // specific ISA (DESIGN.md section 14).
+  const bool exempt_r10 = normalized_path(path) == "src/core/expand_kernel.cc";
   const bool scope_r8 = path_starts_with(path, "src/");
   const bool scope_r9 = path_starts_with(path, "src/") &&
                         !path_ends_with(path, "common/annotations.h");
@@ -705,9 +708,77 @@ std::vector<Violation> lint_source(std::string_view path,
     }
   }
 
+  // R10, line rules: `#pragma GCC target|optimize` and intrinsics
+  // headers. Angle-bracket include names survive comment/string stripping.
+  const std::string r10_message =
+      " outside src/core/expand_kernel.cc; ISA-specific builds live only in "
+      "the row kernel, which picks one at run time from the CPU";
+  if (!exempt_r10) {
+    for (std::size_t li = 0; li < lines.size(); ++li) {
+      const std::string code = trim(lines[li].code);
+      if (code.empty() || code[0] != '#') continue;
+      std::vector<std::string> words;
+      std::string word;
+      for (const char c : code.substr(1) + " ") {
+        if (ident_char(c) || c == '.') {
+          word += c;
+        } else if (!word.empty()) {
+          words.push_back(word);
+          word.clear();
+        }
+      }
+      const int line = static_cast<int>(li) + 1;
+      if (words.size() >= 3 && words[0] == "pragma" && words[1] == "GCC" &&
+          (words[2] == "target" || words[2] == "optimize")) {
+        emit("R10", line, line_key(line),
+             "#pragma GCC " + words[2] + r10_message);
+      }
+      if (words.size() >= 2 && words[0] == "include") {
+        const std::string& h = words[1];
+        const bool intrin =
+            h == "arm_neon.h" || h == "arm_sve.h" ||
+            (h.size() >= 8 && h.compare(h.size() - 8, 8, "intrin.h") == 0);
+        if (intrin) {
+          emit("R10", line, line_key(line),
+               "intrinsics header <" + h + ">" + r10_message);
+        }
+      }
+    }
+  }
+
+  int r10_attr_line = 0;
   for (std::size_t i = 0; i < toks.size(); ++i) {
     const Token& t = toks[i];
     if (t.kind != Token::Kind::kIdent) continue;
+
+    // R10, attributes: target / target_clones / optimize, spelled
+    // [[gnu::name(...)]] or inside __attribute__((...)) -- two parens in
+    // from the keyword, within the same statement. Leading and trailing
+    // __ are ignored.
+    if (!exempt_r10) {
+      std::string name = t.text;
+      if (name.size() > 4 && name.rfind("__", 0) == 0 &&
+          name.compare(name.size() - 2, 2, "__") == 0) {
+        name = name.substr(2, name.size() - 4);
+      }
+      if (name == "target" || name == "target_clones" || name == "optimize") {
+        bool attribute = i >= 3 && toks[i - 1].text == ":" &&
+                         toks[i - 2].text == ":" &&
+                         (toks[i - 3].text == "gnu" ||
+                          toks[i - 3].text == "__gnu__");
+        for (std::size_t j = i; !attribute && j-- > 0;) {
+          const std::string& u = toks[j].text;
+          if (u == ";" || u == "{" || u == "}") break;
+          attribute = u == "__attribute__" &&
+                      toks[j].paren_depth + 2 == t.paren_depth;
+        }
+        if (attribute && t.line != r10_attr_line) {  // one per line
+          r10_attr_line = t.line;
+          emit("R10", t.line, line_key(t.line),
+               "attribute " + name + r10_message);
+        }
+      }
+    }
 
     // R1: raw fmod on an angle expression (whole-statement evidence).
     if (!exempt_r1 && t.text == "fmod") {

@@ -54,6 +54,13 @@
 //       (common/annotations.h) and must be referenced by at least one lock
 //       annotation (PD_GUARDED_BY / PD_REQUIRES / PD_ACQUIRE / ...), so
 //       Clang Thread Safety Analysis actually has a capability to track.
+//   R10 ISA containment: __attribute__((target|target_clones|optimize))
+//       (or [[gnu::...]]), #pragma GCC target|optimize and intrinsics
+//       headers (<immintrin.h> and the other <*intrin.h>, <arm_neon.h>,
+//       <arm_sve.h>) appear only in src/core/expand_kernel.cc, whose row
+//       kernel picks its build at run time from the CPU (DESIGN.md
+//       section 14). Anywhere else they would tie a binary to one ISA or
+//       fork the decode into per-ISA paths no test compares.
 //
 // Any finding can be suppressed at the site with an allow comment,
 //     polarlint-allow(R4): seeded fuzz corpus
@@ -71,7 +78,7 @@
 namespace polarlint {
 
 struct Violation {
-  std::string rule;     // "R1".."R9", or "DIRECTIVE" for malformed directives
+  std::string rule;     // "R1".."R10", or "DIRECTIVE" for malformed directives
   std::string path;     // file path as given to lint_source
   int line = 0;         // 1-based
   std::string key;      // rule-specific stable payload (identifier or line)
