@@ -167,14 +167,18 @@ inline void banner(const std::string& id, const std::string& title) {
             << "==============================================================\n";
 }
 
-/// Runs the registered google-benchmark timings (after the experiment).
+/// Runs the registered google-benchmark timings (after the experiment),
+/// with the caller's flags (e.g. --benchmark_filter). Micro-timings default
+/// to --benchmark_min_time=0.05, since the experiment above is the real
+/// payload; a caller's own --benchmark_min_time comes later and wins.
 inline int run_microbench(int argc, char** argv) {
-  // Keep micro-timings short; the experiment above is the real payload.
-  int fake_argc = 2;
   char arg0[] = "bench";
-  char arg1[] = "--benchmark_min_time=0.05";
-  char* fake_argv[] = {argc > 0 ? argv[0] : arg0, arg1, nullptr};
-  ::benchmark::Initialize(&fake_argc, fake_argv);
+  char min_time[] = "--benchmark_min_time=0.05";
+  std::vector<char*> args{argc > 0 ? argv[0] : arg0, min_time};
+  for (int i = 1; i < argc; ++i) args.push_back(argv[i]);
+  int n = static_cast<int>(args.size());
+  args.push_back(nullptr);
+  ::benchmark::Initialize(&n, args.data());
   ::benchmark::RunSpecifiedBenchmarks();
   ::benchmark::Shutdown();
   return 0;

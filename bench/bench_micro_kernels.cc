@@ -6,6 +6,7 @@
 // section 3.5).
 #include <benchmark/benchmark.h>
 
+#include "baselines/rfidraw.h"
 #include "baselines/tagoram.h"
 #include "bench_common.h"
 #include "channel/multipath.h"
@@ -156,36 +157,41 @@ static void BM_RankBeam(benchmark::State& state) {
 }
 BENCHMARK(BM_RankBeam);
 
-static void BM_GridBeamDecode(benchmark::State& state) {
-  // The baselines' grid decode (baselines/grid_search.h) at a fixed size:
-  // Tagoram-4 on the default board, beam 600, 200 windows of a tag
-  // circling at about 10 cm/s with every port read twice per window, and
-  // ideal phases so no step is blind.
-  eval::TrialConfig cfg;
-  cfg.system = eval::System::kTagoram4;
-  eval::apply_system_layout(cfg);
-  const sim::Scene scene(cfg.scene);
-  const auto& rig = scene.antennas();
-  baselines::TagoramConfig tcfg;
+namespace {
+
+/// The baselines' grid-decode microbench track: 200 windows of a tag
+/// circling at about 10 cm/s with every port of `rig` read twice per
+/// window, and ideal phases so no step is blind.
+rfid::TagReportStream circling_tag_reports(
+    const std::vector<em::ReaderAntenna>& rig, double window_s,
+    double wavelength_m) {
   constexpr int kWindows = 201;  // 200 decoded steps
   rfid::TagReportStream reports;
   const int reads = 2 * static_cast<int>(rig.size());
   for (int w = 0; w < kWindows; ++w) {
     for (int k = 0; k < reads; ++k) {
-      const double t = (w + (k + 0.5) / reads) * tcfg.grid.window_s;
+      const double t = (w + (k + 0.5) / reads) * window_s;
       const double ang = 2.0 * kPi * t / 3.0;
       const Vec2 tag{0.5 + 0.05 * std::cos(ang), 0.25 + 0.05 * std::sin(ang)};
       rfid::TagReport r;
       r.timestamp_s = t;
       r.antenna_id = k % static_cast<int>(rig.size());
       const auto& ant = rig[static_cast<std::size_t>(r.antenna_id)];
-      r.phase_rad = wrap_2pi(4.0 * kPi * baselines::link_len(tag, ant) /
-                             tcfg.wavelength_m);
+      r.phase_rad =
+          wrap_2pi(4.0 * kPi * baselines::link_len(tag, ant) / wavelength_m);
       r.rss_dbm = -50.0;
       reports.push_back(r);
     }
   }
-  const baselines::TagoramTracker tracker(tcfg, rig);
+  return reports;
+}
+
+/// Times `tracker` on `reports` and reports the decode's work rates:
+/// windows and in-reach candidates per second, and the cells per window
+/// whose features were computed rather than carried from the step before.
+template <typename Tracker>
+void time_grid_decode(benchmark::State& state, const Tracker& tracker,
+                      const rfid::TagReportStream& reports) {
   baselines::GridDecodeStats stats;
   for (auto _ : state) {
     benchmark::DoNotOptimize(tracker.track(reports, &stats).size());
@@ -194,8 +200,44 @@ static void BM_GridBeamDecode(benchmark::State& state) {
       static_cast<double>(stats.windows), benchmark::Counter::kIsRate);
   state.counters["candidates_per_s"] = benchmark::Counter(
       static_cast<double>(stats.candidates), benchmark::Counter::kIsRate);
+  state.counters["featured_per_window"] =
+      static_cast<double>(stats.featured) /
+      static_cast<double>(std::max<std::size_t>(1, stats.windows));
+}
+
+std::vector<em::ReaderAntenna> system_rig(eval::System system) {
+  eval::TrialConfig cfg;
+  cfg.system = system;
+  eval::apply_system_layout(cfg);
+  return sim::Scene(cfg.scene).antennas();
+}
+
+}  // namespace
+
+static void BM_GridBeamDecode(benchmark::State& state) {
+  // The baselines' grid decode (baselines/grid_search.h) at a fixed size:
+  // Tagoram-4 on the default board, beam 600, the circling-tag track.
+  const auto rig = system_rig(eval::System::kTagoram4);
+  const baselines::TagoramConfig tcfg;
+  const baselines::TagoramTracker tracker(tcfg, rig);
+  time_grid_decode(
+      state, tracker,
+      circling_tag_reports(rig, tcfg.grid.window_s, tcfg.wavelength_m));
 }
 BENCHMARK(BM_GridBeamDecode)->Unit(benchmark::kMillisecond);
+
+static void BM_GridBeamDecodeRfIdraw(benchmark::State& state) {
+  // The same decode and track through RF-IDraw-4's model (two 2-element
+  // arrays, AoA cell terms); ideal phases need no port calibration.
+  const auto rig = system_rig(eval::System::kRfIdraw4);
+  const baselines::RfIdrawConfig rcfg;
+  const baselines::RfIdrawTracker tracker(rcfg, rig, {{0, 1}, {2, 3}},
+                                          std::vector<double>(rig.size(), 0.0));
+  time_grid_decode(
+      state, tracker,
+      circling_tag_reports(rig, rcfg.grid.window_s, rcfg.wavelength_m));
+}
+BENCHMARK(BM_GridBeamDecodeRfIdraw)->Unit(benchmark::kMillisecond);
 
 static void BM_ViterbiBeamWidth(benchmark::State& state) {
   const auto& fx = Fixture::get();

@@ -9,10 +9,12 @@
 // A scoring model is any type providing
 //
 //   std::size_t features() const;
-//       number of doubles describing one cell (e.g. per-antenna link
-//       lengths);
+//       number of doubles describing one cell (e.g. the per-antenna link
+//       phasors, two doubles per antenna);
 //   void cell_features(const Vec2& center, double* f) const;
-//       fills f[0..features()) for the cell whose block center is `center`;
+//       fills f[0..features()) for the cell whose block center is `center`.
+//       The result must depend on `center` only: the engine may copy a
+//       cell's features from an earlier step instead of calling this;
 //   double cell_term(std::size_t t, const double* to_f) const;
 //       the part of step t's score that depends only on the destination;
 //   double move_score(std::size_t t, const double* from_f,
@@ -24,9 +26,11 @@
 //       an upper bound on move_score(t, *, *, acc) over all moves, or
 //       +infinity when the model knows none.
 //
-// The engine evaluates features and cell terms once per cell per step, on
-// the cell's first touch, and move_score once per in-reach candidate that
-// its bound does not rule out.
+// The engine evaluates a cell term once per cell per step, on the cell's
+// first touch, and move_score once per in-reach candidate that its bound
+// does not rule out. A cell's features are computed on its first touch in
+// a step unless the cell was also touched in the step before; then they
+// are carried over from that step's feature rows.
 #pragma once
 
 #include <algorithm>
@@ -54,6 +58,8 @@ struct GridDecodeStats {
   std::size_t windows = 0;     // decoded steps
   std::size_t candidates = 0;  // in-reach moves onto the board
   std::size_t scored = 0;      // move_score calls (the rest were bounded out)
+  std::size_t featured = 0;    // cell_features calls of first-touched cells
+                               // (the rest were carried from the step before)
 };
 
 /// Tag-to-antenna link length of a board point: the antennas hang
@@ -63,6 +69,35 @@ inline double link_len(const Vec2& p, const em::ReaderAntenna& ant) {
   const double dy = p.y - ant.position.y;
   const double dz = ant.position.z;
   return std::sqrt(dx * dx + dy * dy + dz * dz);
+}
+
+/// Per-antenna link phasors of a board point, the baseline models' cell
+/// features: f[2a] = cos(k * d_a) and f[2a + 1] = sin(k * d_a), where d_a
+/// is the link length to antenna a and k = 4 pi / lambda the round-trip
+/// wavenumber.
+inline void link_phasors(const Vec2& p,
+                         const std::vector<em::ReaderAntenna>& antennas,
+                         double k, double* f) {
+  for (std::size_t a = 0; a < antennas.size(); ++a) {
+    const double phase = k * link_len(p, antennas[a]);
+    f[2 * a] = std::cos(phase);
+    f[2 * a + 1] = std::sin(phase);
+  }
+}
+
+/// Phase-coherence term w * (cos(delta - k * (d_to - d_from)) - 1),
+/// trig-free: (cos_d, sin_d) is e^{i delta}, and `to`, `from` point at the
+/// two ends' link phasors (tc, ts) and (fc, fs). By angle addition the
+/// predicted change e = k * (d_to - d_from) has cos e = tc*fc + ts*fs and
+/// sin e = ts*fc - tc*fs, and cos(delta - e) = cos_d*cos e + sin_d*sin e.
+/// That sum can round a hair above 1; it is clamped so that the term, like
+/// the cosine it replaces, is never positive for w >= 0 (the models'
+/// move_bound relies on it).
+inline double coherence_term(double w, double cos_d, double sin_d,
+                             const double* to, const double* from) {
+  const double cos_e = to[0] * from[0] + to[1] * from[1];
+  const double sin_e = to[1] * from[0] - to[0] * from[1];
+  return w * (std::min(1.0, cos_d * cos_e + sin_d * sin_e) - 1.0);
 }
 
 namespace detail {
@@ -129,9 +164,12 @@ std::vector<Vec2> grid_beam_decode(const GridConfig& cfg, const Vec2& start,
   std::vector<std::vector<Node>> beams;
   beams.reserve(steps + 1);
   beams.push_back({Node{g.c0, g.r0, -1}});
+  // The live beam: each survivor's score and its row in prev_f, the
+  // previous step's feature rows (indexed by that step's slots).
   std::vector<float> beam_lp{0.0f};
-  std::vector<double> beam_f(nf);
-  model.cell_features(g.center(g.c0, g.r0), beam_f.data());
+  std::vector<std::int32_t> beam_slot{0};
+  std::vector<double> prev_f(nf);
+  model.cell_features(g.center(g.c0, g.r0), prev_f.data());
 
   // Generation-stamped scoreboard: slot[cell] is valid for this step iff
   // stamp[cell] == the step's generation, so no per-step clear is needed.
@@ -146,6 +184,7 @@ std::vector<Vec2> grid_beam_decode(const GridConfig& cfg, const Vec2& start,
   std::vector<std::int32_t> order;
   std::size_t candidates = 0;
   std::size_t scored = 0;
+  std::size_t featured = 0;
 
   for (std::size_t t = 0; t < steps; ++t) {
     const auto gen = static_cast<std::uint32_t>(t + 1);
@@ -158,7 +197,9 @@ std::vector<Vec2> grid_beam_decode(const GridConfig& cfg, const Vec2& start,
     for (std::int32_t pi = 0; pi < parents; ++pi) {
       const Node& p = prev[static_cast<std::size_t>(pi)];
       const float plp = beam_lp[static_cast<std::size_t>(pi)];
-      const double* from_f = beam_f.data() + static_cast<std::size_t>(pi) * nf;
+      const double* from_f =
+          prev_f.data() +
+          static_cast<std::size_t>(beam_slot[static_cast<std::size_t>(pi)]) * nf;
       const Vec2 from = g.center(p.col, p.row);
       for (const detail::Displacement& m : g.moves) {
         const int nr = p.row + m.dr;
@@ -172,11 +213,21 @@ std::vector<Vec2> grid_beam_decode(const GridConfig& cfg, const Vec2& start,
         ++candidates;
         const bool fresh = stamp[cell] != gen;
         if (fresh) {
+          // A cell touched in the step before still holds that step's
+          // slot, whose feature row is in prev_f: carry it over. (At the
+          // first step every stamp is 0 == gen - 1, so it is excluded.)
+          const bool carried = gen > 1 && stamp[cell] == gen - 1;
+          const auto old = static_cast<std::size_t>(slot[cell]);
           stamp[cell] = gen;
           slot[cell] = static_cast<std::int32_t>(next.size());
           next_f.resize(next_f.size() + nf);
           double* f = next_f.data() + next_f.size() - nf;
-          model.cell_features(g.center(nc, nr), f);
+          if (carried) {
+            std::copy_n(prev_f.data() + old * nf, nf, f);
+          } else {
+            model.cell_features(g.center(nc, nr), f);
+            ++featured;
+          }
           next_term.push_back(model.cell_term(t, f));
         }
         const auto s = static_cast<std::size_t>(slot[cell]);
@@ -223,20 +274,20 @@ std::vector<Vec2> grid_beam_decode(const GridConfig& cfg, const Vec2& start,
     std::vector<Node> survivors;
     survivors.reserve(order.size());
     beam_lp.resize(order.size());
-    beam_f.resize(order.size() * nf);
     for (std::size_t k = 0; k < order.size(); ++k) {
-      const auto s = static_cast<std::size_t>(order[k]);
-      const Candidate& c = next[s];
+      const Candidate& c = next[static_cast<std::size_t>(order[k])];
       survivors.push_back({c.col, c.row, c.parent});
       beam_lp[k] = c.log_prob;
-      std::copy_n(next_f.data() + s * nf, nf, beam_f.data() + k * nf);
     }
     beams.push_back(std::move(survivors));
+    beam_slot.assign(order.begin(), order.end());
+    prev_f.swap(next_f);
   }
   if (stats != nullptr) {
     stats->windows += steps;
     stats->candidates += candidates;
     stats->scored += scored;
+    stats->featured += featured;
   }
 
   // Backtrace from the first best-scoring survivor.

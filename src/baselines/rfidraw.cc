@@ -10,15 +10,17 @@ namespace polardraw::baselines {
 
 namespace {
 
-/// One array's calibrated spatial phase difference in one window.
+/// One array's calibrated spatial phase difference in one window, as its
+/// unit phasor (cos, sin) for trig-free scoring.
 struct PairDiff {
   std::size_t i = 0;
   std::size_t j = 0;
-  double diff_rad = 0.0;
+  double cos_diff = 1.0;
+  double sin_diff = 0.0;
 };
 
 /// Grid-decode scoring model of AoA intersection plus a temporal
-/// stabilizer. A cell's features are its per-antenna link lengths; the
+/// stabilizer. A cell's features are its per-antenna link phasors; the
 /// AoA term depends on the destination only, so it is the cell term, and
 /// a move continues the sum with the per-port differential coherence.
 class RfIdrawModel {
@@ -29,27 +31,26 @@ class RfIdrawModel {
                std::vector<std::vector<PortDelta>> deltas)
       : cfg_(cfg),
         antennas_(antennas),
+        k_(4.0 * kPi / cfg.wavelength_m),
         pairs_(std::move(pairs)),
         deltas_(std::move(deltas)) {}
 
-  std::size_t features() const { return antennas_.size(); }
+  std::size_t features() const { return 2 * antennas_.size(); }
 
   void cell_features(const Vec2& center, double* f) const {
-    for (std::size_t a = 0; a < antennas_.size(); ++a) {
-      f[a] = link_len(center, antennas_[a]);
-    }
+    link_phasors(center, antennas_, k_, f);
   }
 
   // AoA / hyperbola term: the candidate must lie where each array's
   // spatial phase difference matches. The cosine handles the 2k*pi
   // ambiguity exactly the way grating lobes do; the fine/coarse pairing
-  // plus temporal continuity selects among lobes.
+  // plus temporal continuity selects among lobes. The predicted
+  // difference is k * (d_j - d_i): antenna j plays the destination.
   double cell_term(std::size_t t, const double* to_f) const {
     double score = 0.0;
     for (const PairDiff& p : pairs_[t]) {
-      const double expected =
-          4.0 * kPi * (to_f[p.j] - to_f[p.i]) / cfg_.wavelength_m;
-      score += cfg_.coherence_weight * (std::cos(p.diff_rad - expected) - 1.0);
+      score += coherence_term(cfg_.coherence_weight, p.cos_diff, p.sin_diff,
+                              to_f + 2 * p.j, to_f + 2 * p.i);
     }
     return score;
   }
@@ -70,9 +71,8 @@ class RfIdrawModel {
     const std::vector<PortDelta>& deltas = deltas_[t];
     if (deltas.empty() && pairs_[t].empty()) return -0.1;
     for (const PortDelta& d : deltas) {
-      const double expected =
-          4.0 * kPi * (to_f[d.port] - from_f[d.port]) / cfg_.wavelength_m;
-      acc += cfg_.temporal_weight * (std::cos(d.delta_rad - expected) - 1.0);
+      acc += coherence_term(cfg_.temporal_weight, d.cos_delta, d.sin_delta,
+                            to_f + 2 * d.port, from_f + 2 * d.port);
     }
     return acc;
   }
@@ -80,6 +80,7 @@ class RfIdrawModel {
  private:
   const RfIdrawConfig& cfg_;
   const std::vector<em::ReaderAntenna>& antennas_;
+  double k_;  // round-trip wavenumber 4 pi / lambda
   std::vector<std::vector<PairDiff>> pairs_;
   std::vector<std::vector<PortDelta>> deltas_;
 };
@@ -112,8 +113,8 @@ std::vector<Vec2> RfIdrawTracker::track(const rfid::TagReportStream& reports,
       const auto ii = static_cast<std::size_t>(i);
       const auto jj = static_cast<std::size_t>(j);
       if (windows[w].phase_valid[ii] && windows[w].phase_valid[jj]) {
-        diffs.push_back(
-            {ii, jj, windows[w].phase_rad[jj] - windows[w].phase_rad[ii]});
+        const double diff = windows[w].phase_rad[jj] - windows[w].phase_rad[ii];
+        diffs.push_back({ii, jj, std::cos(diff), std::sin(diff)});
       }
     }
   }

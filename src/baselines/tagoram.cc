@@ -1,6 +1,5 @@
 #include "baselines/tagoram.h"
 
-#include <cmath>
 #include <limits>
 
 #include "baselines/windowing.h"
@@ -11,21 +10,22 @@ namespace polardraw::baselines {
 namespace {
 
 /// Grid-decode scoring model of the differential hologram. A cell's
-/// features are its per-antenna link lengths; a move scores the coherence
+/// features are its per-antenna link phasors; a move scores the coherence
 /// of each port's measured phase change with the change the move predicts.
 class TagoramModel {
  public:
   TagoramModel(const TagoramConfig& cfg,
                const std::vector<em::ReaderAntenna>& antennas,
                std::vector<std::vector<PortDelta>> steps)
-      : cfg_(cfg), antennas_(antennas), steps_(std::move(steps)) {}
+      : cfg_(cfg),
+        antennas_(antennas),
+        k_(4.0 * kPi / cfg.wavelength_m),
+        steps_(std::move(steps)) {}
 
-  std::size_t features() const { return antennas_.size(); }
+  std::size_t features() const { return 2 * antennas_.size(); }
 
   void cell_features(const Vec2& center, double* f) const {
-    for (std::size_t a = 0; a < antennas_.size(); ++a) {
-      f[a] = link_len(center, antennas_[a]);
-    }
+    link_phasors(center, antennas_, k_, f);
   }
 
   double cell_term(std::size_t, const double*) const { return 0.0; }
@@ -43,11 +43,10 @@ class TagoramModel {
     const std::vector<PortDelta>& deltas = steps_[t];
     if (deltas.empty()) return -0.1;  // mild penalty: drift only on blind steps
     for (const PortDelta& d : deltas) {
-      const double expected =
-          4.0 * kPi * (to_f[d.port] - from_f[d.port]) / cfg_.wavelength_m;
       // Coherence of measured vs predicted phase change; differential, so
       // port offsets cancel.
-      acc += cfg_.coherence_weight * (std::cos(d.delta_rad - expected) - 1.0);
+      acc += coherence_term(cfg_.coherence_weight, d.cos_delta, d.sin_delta,
+                            to_f + 2 * d.port, from_f + 2 * d.port);
     }
     return acc;
   }
@@ -55,6 +54,7 @@ class TagoramModel {
  private:
   const TagoramConfig& cfg_;
   const std::vector<em::ReaderAntenna>& antennas_;
+  double k_;  // round-trip wavenumber 4 pi / lambda
   std::vector<std::vector<PortDelta>> steps_;
 };
 

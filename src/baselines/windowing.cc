@@ -45,12 +45,12 @@ std::vector<MultiWindow> window_reports(
       ++rejected[reason];
       continue;
     }
-    // The index is truncated in double first: a finite but huge timestamp
+    // The index is floored in double first: a finite but huge timestamp
     // would overflow the int conversion. A report whose index does not fit
     // is dropped; it is never the first one (which has index 0), so this
     // equals deleting it. So is a report timestamped before the first one,
-    // whose window would precede window 0.
-    const double wd = std::trunc((r.timestamp_s - t0) / window_s);
+    // whose window precedes window 0 = [t0, t0 + window_s).
+    const double wd = std::floor((r.timestamp_s - t0) / window_s);
     if (!(wd >= static_cast<double>(std::numeric_limits<int>::min()) &&
           wd <= static_cast<double>(std::numeric_limits<int>::max()))) {
       ++rejected[kWindowIndex];
@@ -132,7 +132,8 @@ std::vector<std::vector<PortDelta>> adjacent_phase_deltas(
     std::vector<PortDelta>& deltas = steps.emplace_back();
     for (std::size_t a = 0; a < cur.phase_valid.size(); ++a) {
       if (cur.phase_valid[a] && prev.phase_valid[a]) {
-        deltas.push_back({a, cur.phase_rad[a] - prev.phase_rad[a]});
+        const double delta = cur.phase_rad[a] - prev.phase_rad[a];
+        deltas.push_back({a, delta, std::cos(delta), std::sin(delta)});
       }
     }
   }

@@ -31,18 +31,22 @@ struct MultiWindow {
 /// are subtracted before unwrapping. Reports with an antenna id outside
 /// [0, num_ports), a non-finite timestamp, phase or RSS, a window index
 /// that does not fit in an int, or a timestamp before the first kept
-/// report's window are dropped, with the same result as deleting them from
-/// the stream; windows count from the first report kept. Drops are counted
+/// report are dropped, with the same result as deleting them from the
+/// stream; window w covers [t0 + w * window_s, t0 + (w + 1) * window_s) from
+/// the first kept report's time t0. Drops are counted
 /// in the metrics registry as baselines.rejected_reports.{antenna,
 /// non_finite,window_index,before_start}.
 std::vector<MultiWindow> window_reports(
     const rfid::TagReportStream& reports, int num_ports, double window_s,
     const std::vector<double>* port_offsets = nullptr);
 
-/// One port's unwrapped phase change across a pair of adjacent windows.
+/// One port's unwrapped phase change across a pair of adjacent windows,
+/// with its unit phasor e^{i delta_rad} for trig-free scoring.
 struct PortDelta {
   std::size_t port = 0;
   double delta_rad = 0.0;
+  double cos_delta = 1.0;
+  double sin_delta = 0.0;
 };
 
 /// For each step w-1 -> w (windows.size() - 1 of them), the ports read in

@@ -187,7 +187,7 @@ TEST(Windowing, RejectedReportsCountedByReason) {
       report(0.16, 1, 1.3, nan),     // non-finite RSS
       report(1e12, 0, 1.4),          // window index past int
       report(0.04, 1, 1.5),          // before the first kept report
-      report(0.099, 0, 1.6),         // before it, but truncates to window 0
+      report(0.099, 0, 1.6),         // before it, though less than a window
       report(0.20, 1, 1.7)};
   const auto windows = window_reports(reports, 2, 0.05);
   const obs::Snapshot snap = registry.snapshot();
@@ -196,8 +196,8 @@ TEST(Windowing, RejectedReportsCountedByReason) {
   EXPECT_EQ(snap.counter("baselines.rejected_reports.antenna"), 3u);
   EXPECT_EQ(snap.counter("baselines.rejected_reports.non_finite"), 3u);
   EXPECT_EQ(snap.counter("baselines.rejected_reports.window_index"), 1u);
-  EXPECT_EQ(snap.counter("baselines.rejected_reports.before_start"), 1u);
-  // Kept: t = 0.099, 0.10, 0.12 (window 0) and 0.20 (window 2).
+  EXPECT_EQ(snap.counter("baselines.rejected_reports.before_start"), 2u);
+  // Kept: t = 0.10, 0.12 (window 0) and 0.20 (window 2).
   ASSERT_EQ(windows.size(), 3u);
   EXPECT_TRUE(windows[0].all_phase_valid());
   EXPECT_FALSE(windows[1].phase_valid[0] || windows[1].phase_valid[1]);
@@ -366,6 +366,105 @@ TEST(GridBeam, KnifeEdgeMatchesCenterDistanceEverywhere) {
       }
     }
   }
+}
+
+TEST(GridBeam, CarriedFeaturesMatchTheirCell) {
+  // A cell touched in consecutive steps gets its features copied from the
+  // step before instead of recomputed. Each cell carries a checksum of its
+  // center as a third feature, and every move must join two intact rows
+  // within reach of each other. The score pulls the track two blocks right
+  // per step, so the decode has exactly one best path.
+  GridConfig cfg;
+  cfg.board_width_m = 0.3;
+  cfg.board_height_m = 0.2;
+  cfg.beam_width = 50;
+  const Vec2 start{0.05, 0.098};
+  const detail::GridFrame g = detail::make_frame(cfg, start);
+  struct ChecksumModel {
+    const detail::GridFrame* g;
+    mutable std::size_t first_touches = 0;
+    mutable std::size_t bad_rows = 0;
+    static double checksum(double x, double y) { return 3.0 * x - 7.0 * y; }
+    std::size_t features() const { return 3; }
+    void cell_features(const Vec2& c, double* f) const {
+      f[0] = c.x;
+      f[1] = c.y;
+      f[2] = checksum(c.x, c.y);
+    }
+    double cell_term(std::size_t, const double*) const {
+      ++first_touches;  // once per cell per step
+      return 0.0;
+    }
+    double move_bound(std::size_t, double) const {
+      return std::numeric_limits<double>::infinity();
+    }
+    double move_score(std::size_t t, const double* from_f, const double* to_f,
+                      double acc) const {
+      const Vec2 from{from_f[0], from_f[1]};
+      const Vec2 to{to_f[0], to_f[1]};
+      if (from_f[2] != checksum(from.x, from.y) ||
+          to_f[2] != checksum(to.x, to.y) || from.dist(to) > g->radius_m) {
+        ++bad_rows;
+      }
+      const int step = static_cast<int>(t) + 1;
+      return acc - 100.0 * to.dist(g->center(g->c0 + 2 * step, g->r0));
+    }
+  };
+  const ChecksumModel model{&g};
+  constexpr std::size_t kSteps = 30;
+  GridDecodeStats stats;
+  const auto path = grid_beam_decode(cfg, start, kSteps, model, &stats);
+  EXPECT_EQ(model.bad_rows, 0u);
+  ASSERT_EQ(path.size(), kSteps + 1);
+  for (std::size_t t = 0; t <= kSteps; ++t) {
+    EXPECT_EQ(path[t], g.center(g.c0 + 2 * static_cast<int>(t), g.r0)) << t;
+  }
+  EXPECT_EQ(stats.scored, stats.candidates);
+  EXPECT_GT(stats.featured, 0u);
+  EXPECT_LT(stats.featured, model.first_touches);
+}
+
+TEST(PhasorScoring, CoherenceTermMatchesTheCosineOfTheDifference) {
+  // The trig-free term equals w * (cos(delta - k * (d_to - d_from)) - 1)
+  // over random geometry: link phases k * d up to about 40 rad and
+  // measured changes of both signs, beyond one turn.
+  Rng rng(16);
+  const double lambda = 0.3276;
+  const double k = 4.0 * kPi / lambda;
+  std::vector<em::ReaderAntenna> rig;
+  for (int a = 0; a < 4; ++a) {
+    rig.push_back(em::make_circular_antenna(
+        Vec3{rng.uniform(0.0, 1.0), rng.uniform(0.0, 0.6),
+             rng.uniform(0.05, 0.5)}));
+  }
+  double max_phase = 0.0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const Vec2 from{rng.uniform(0.0, 1.0), rng.uniform(0.0, 0.6)};
+    const Vec2 to = trial % 4 == 0 ? from
+                                   : Vec2{rng.uniform(0.0, 1.0),
+                                          rng.uniform(0.0, 0.6)};
+    double ff[8], tf[8];
+    link_phasors(from, rig, k, ff);
+    link_phasors(to, rig, k, tf);
+    const double w = rng.uniform(0.0, 3.0);
+    for (std::size_t a = 0; a < rig.size(); ++a) {
+      const double d_from = link_len(from, rig[a]);
+      const double d_to = link_len(to, rig[a]);
+      max_phase = std::max(max_phase, k * std::max(d_from, d_to));
+      // Every fourth delta is the predicted change itself (full coherence)
+      // shifted by whole turns.
+      const double delta = trial % 4 == 1
+                               ? k * (d_to - d_from) + kTwoPi * rng.uniform_int(-3, 3)
+                               : rng.uniform(-20.0, 20.0);
+      const double want =
+          w * (std::cos(delta - k * (d_to - d_from)) - 1.0);
+      const double got = coherence_term(w, std::cos(delta), std::sin(delta),
+                                        tf + 2 * a, ff + 2 * a);
+      ASSERT_NEAR(got, want, 1e-12) << trial << " port " << a;
+      ASSERT_LE(got, 0.0);
+    }
+  }
+  EXPECT_GT(max_phase, 30.0);
 }
 
 TEST(GridBeam, IndexPruneMatchesNodePrune) {
